@@ -17,28 +17,19 @@
 // Output: a table on stdout plus machine-readable JSON in the shape of
 // BENCH_serve_throughput.json (BENCH_micro_kde.json, override with out=).
 //
-// index= selects the evaluator family: `all` (default) runs the four series
-// above, `grid` / `brute` just that pair, and `dualtree` benches the
-// dual-tree evaluator (DESIGN.md §15): a `dual_exact` series checked
-// BITWISE against scalar_brute (the ascending-center contract), plus — when
-// rel_error= is nonzero — a `dual_approx` series whose per-query certified
-// bound is audited against the exact reference: a row's mismatch count is
-// the number of queries where |approx - exact| exceeded the certificate or
-// the certificate exceeded rel_error * exact, and the JSON row carries
-// max_observed_err / certified_err. Any violation fails the run.
+// index= selects the series: `all` (default) runs the four above, `grid`
+// / `brute` just that pair.
 //
 //   micro_kde [queries=20000] [data_points=50000] [reps=3]
-//             [threads=1,2,4,8] [index=all|grid|brute|dualtree]
-//             [rel_error=0] [out=BENCH_micro_kde.json]
+//             [threads=1,2,4,8] [index=all|grid|brute]
+//             [out=BENCH_micro_kde.json]
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "density/dual_tree_kde.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
@@ -63,10 +54,6 @@ struct SeriesResult {
   double points_per_sec = 0.0;
   double speedup_vs_scalar = 0.0;
   int64_t mismatches = 0;
-  // dual_approx only: worst |approx - exact| observed and worst certified
-  // bound reported across the query set (0 for exact series).
-  double max_observed_err = 0.0;
-  double certified_err = 0.0;
 };
 
 dbs::data::PointSet MakeData(int dim, int64_t points, uint64_t seed) {
@@ -153,12 +140,11 @@ void WriteJson(const std::string& path, int64_t queries, int reps,
                  "    {\"series\": \"%s\", \"dim\": %d, \"kernels\": %lld, "
                  "\"threads\": %d, \"seconds\": %.6f, "
                  "\"points_per_sec\": %.1f, \"speedup_vs_scalar\": %.3f, "
-                 "\"mismatches\": %lld, \"max_observed_err\": %.9e, "
-                 "\"certified_err\": %.9e}%s\n",
+                 "\"mismatches\": %lld}%s\n",
                  r.series.c_str(), r.dim, static_cast<long long>(r.kernels),
                  r.threads, r.seconds, r.points_per_sec, r.speedup_vs_scalar,
-                 static_cast<long long>(r.mismatches), r.max_observed_err,
-                 r.certified_err, i + 1 < results.size() ? "," : "");
+                 static_cast<long long>(r.mismatches),
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -175,20 +161,13 @@ int main(int argc, char** argv) {
   int reps = static_cast<int>(flags.GetInt("reps", 3));
   std::string threads_spec = flags.GetString("threads", "1,2,4,8");
   std::string index = flags.GetString("index", "all");
-  double rel_error = flags.GetDouble("rel_error", 0.0);
   std::string out = flags.GetString("out", "BENCH_micro_kde.json");
   if (!flags.AllKnown()) return 2;
   DBS_CHECK(queries > 0 && data_points > 0 && reps > 0);
-  if (index != "all" && index != "grid" && index != "brute" &&
-      index != "dualtree") {
-    std::fprintf(stderr, "index must be all, grid, brute or dualtree\n");
+  if (index != "all" && index != "grid" && index != "brute") {
+    std::fprintf(stderr, "index must be all, grid or brute\n");
     return 2;
   }
-  if (rel_error != 0.0 && index != "dualtree") {
-    std::fprintf(stderr, "rel_error requires index=dualtree\n");
-    return 2;
-  }
-  DBS_CHECK(rel_error >= 0.0);
   std::vector<int> thread_counts;
   if (!ParseThreadList(threads_spec, &thread_counts)) {
     std::fprintf(stderr, "bad threads= list '%s'\n", threads_spec.c_str());
@@ -223,8 +202,7 @@ int main(int argc, char** argv) {
     std::vector<double> got(static_cast<size_t>(nq));
 
     auto add = [&](const std::string& series, int threads, double seconds,
-                   double scalar_seconds,
-                   int64_t mismatches) -> SeriesResult& {
+                   double scalar_seconds, int64_t mismatches) {
       SeriesResult r;
       r.series = series;
       r.dim = config.dim;
@@ -238,14 +216,12 @@ int main(int argc, char** argv) {
       r.mismatches = mismatches;
       PrintRow(r);
       results.push_back(r);
-      return results.back();
     };
 
     const bool headline =
         config.dim == kHeadline.dim && config.kernels == kHeadline.kernels;
     const bool run_grid = index == "all" || index == "grid";
     const bool run_brute = index == "all" || index == "brute";
-    const bool run_dualtree = index == "dualtree";
 
     // Scalar baselines (the pre-batching hot path).
     double scalar_indexed = 0.0;
@@ -256,11 +232,8 @@ int main(int argc, char** argv) {
       add("scalar_indexed", 0, scalar_indexed, scalar_indexed, 0);
     }
 
-    // The brute scalar series doubles as the dual-tree reference: the
-    // dual tree's exact mode promises bitwise identity to the
-    // ascending-center summation, which is exactly EvaluateBrute's order.
     double scalar_brute = 0.0;
-    if (run_brute || run_dualtree) {
+    if (run_brute) {
       scalar_brute = TimeBest(reps, [&] {
         for (int64_t i = 0; i < nq; ++i) {
           ref_brute[i] = brute.EvaluateBrute(query[i]);
@@ -286,47 +259,6 @@ int main(int argc, char** argv) {
           CountMismatches(got, ref_brute));
     }
 
-    if (run_dualtree) {
-      auto tree = dbs::density::DualTreeKde::Build(brute);
-      DBS_CHECK(tree.ok());
-      double dual_exact = TimeBest(reps, [&] {
-        DBS_CHECK(tree->EvaluateBatch(rows, nq, got.data()).ok());
-      });
-      add("dual_exact", 0, dual_exact, scalar_brute,
-          CountMismatches(got, ref_brute));
-
-      if (rel_error > 0.0) {
-        dbs::density::DualTreeKdeOptions approx_opts;
-        approx_opts.rel_error = rel_error;
-        auto approx = dbs::density::DualTreeKde::Build(brute, approx_opts);
-        DBS_CHECK(approx.ok());
-        std::vector<double> bound(static_cast<size_t>(nq));
-        double dual_approx = TimeBest(reps, [&] {
-          DBS_CHECK(approx
-                        ->EvaluateBatchWithBound(rows, nq, got.data(),
-                                                 bound.data())
-                        .ok());
-        });
-        // Audit the certificate: every query must satisfy
-        // |approx - exact| <= bound <= rel_error * exact.
-        int64_t violations = 0;
-        double max_observed = 0.0;
-        double max_certified = 0.0;
-        for (int64_t i = 0; i < nq; ++i) {
-          const double observed = std::fabs(got[i] - ref_brute[i]);
-          if (observed > max_observed) max_observed = observed;
-          if (bound[i] > max_certified) max_certified = bound[i];
-          if (observed > bound[i] || bound[i] > rel_error * ref_brute[i]) {
-            ++violations;
-          }
-        }
-        SeriesResult& r = add("dual_approx", 0, dual_approx, scalar_brute,
-                              violations);
-        r.max_observed_err = max_observed;
-        r.certified_err = max_certified;
-      }
-    }
-
     // Thread-scaling series on the headline configuration.
     if (headline) {
       for (int threads : thread_counts) {
@@ -341,16 +273,6 @@ int main(int argc, char** argv) {
           });
           add("batch_indexed", threads, seconds, scalar_indexed,
               CountMismatches(got, ref));
-        }
-        if (run_dualtree) {
-          auto tree = dbs::density::DualTreeKde::Build(brute);
-          DBS_CHECK(tree.ok());
-          double seconds = TimeBest(reps, [&] {
-            DBS_CHECK(
-                tree->EvaluateBatch(rows, nq, got.data(), &executor).ok());
-          });
-          add("dual_exact", threads, seconds, scalar_brute,
-              CountMismatches(got, ref_brute));
         }
         executor.Shutdown();
       }

@@ -1,22 +1,24 @@
 // Serving throughput — requests/sec and latency percentiles of the dbsd
-// request path per transport as the worker pool grows.
+// request path over a clients x pipeline x workers grid.
 //
-// For each (transport, worker count) pair the bench stands up the full
-// served stack — registry, batch executor, loopback TCP server with the
-// shared-memory transport enabled — and hammers it with concurrent clients
-// issuing density batches, the subsystem's bread-and-butter request.
-// Clients drive the raw frame stream (Submit/ReadResponseFrame) with up to
-// pipeline=N requests in flight, and check EVERY response against the
-// expected frame bytes (computed once through the same dispatch path the
-// server uses): the transports must be bitwise identical, and the bench
-// exits nonzero on any mismatch. Reported per row: requests/sec and
-// client-observed p50/p99 latency. Output is a human-readable table on
-// stdout plus machine-readable JSON (BENCH_serve_throughput.json, override
-// with out=).
+// For each grid row the bench stands up the full served stack — registry,
+// batch executor, loopback TCP server — and hammers it with concurrent
+// clients issuing density batches, the subsystem's bread-and-butter
+// request. Clients drive the raw frame stream (Submit/ReadResponseFrame)
+// with up to `pipeline` requests in flight, and check EVERY response
+// against the expected frame bytes (computed once through the same
+// dispatch path the server uses): the bench exits nonzero on any
+// mismatch. Reported per row: requests/sec and client-observed p50/p99
+// latency. Output is a human-readable table on stdout plus machine-readable
+// JSON (BENCH_serve_throughput.json, override with out=; empty skips it)
+// stamped with nproc, compiler, build type and the git_sha= passed in.
 //
 //   serve_throughput [clients=4] [batches=40] [points=2000] [kernels=64]
-//                    [workers=1,2,4,8] [transports=tcp,shm] [pipeline=1]
+//                    [workers=1,2,4,8] [pipeline=1] [git_sha=unavailable]
 //                    [out=BENCH_serve_throughput.json]
+//
+// clients=, workers= and pipeline= take comma lists; batches= is per
+// client, so a row serves clients * batches requests.
 
 #include <chrono>
 #include <cstdio>
@@ -27,7 +29,7 @@
 #include <vector>
 
 #include "density/kde.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/dispatch.h"
 #include "serve/model_registry.h"
@@ -43,7 +45,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct RunResult {
-  std::string transport;
+  int clients = 0;
   int workers = 0;
   int pipeline = 1;
   int64_t requests = 0;
@@ -67,8 +69,8 @@ dbs::data::PointSet MakeData(int64_t n, uint64_t seed) {
   return std::move(ds)->points;
 }
 
-RunResult RunOne(const std::string& transport, int workers, int clients,
-                 int batches_per_client, int pipeline,
+RunResult RunOne(int clients, int workers, int batches_per_client,
+                 int pipeline,
                  const std::shared_ptr<const dbs::density::Kde>& model,
                  const std::vector<uint8_t>& request_bytes,
                  const std::vector<uint8_t>& expected_response_bytes,
@@ -76,10 +78,10 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   dbs::serve::ModelRegistry registry;
   DBS_CHECK(registry.Put("est", model, "kde").ok());
 
-  dbs::serve::BatchExecutorOptions pool;
+  dbs::parallel::BatchExecutorOptions pool;
   pool.num_workers = workers;
   pool.queue_capacity = 4096;
-  dbs::serve::BatchExecutor executor(pool);
+  dbs::parallel::BatchExecutor executor(pool);
   dbs::serve::ModelService service(&registry, &executor);
   auto server =
       dbs::serve::Server::Start(&service, dbs::serve::ServerOptions{});
@@ -99,13 +101,7 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   Clock::time_point start = Clock::now();
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      dbs::serve::ClientOptions opts;
-      if (transport == "shm") {
-        opts.transport = dbs::serve::TransportKind::kShm;
-        // Measuring TCP while labeled shm would be worse than failing.
-        opts.shm_fallback_to_tcp = false;
-      }
-      auto client = dbs::serve::Client::Connect((*server)->port(), opts);
+      auto client = dbs::serve::Client::Connect((*server)->port());
       DBS_CHECK(client.ok());
       latencies[c].reserve(batches_per_client);
       std::deque<Clock::time_point> sent;
@@ -148,7 +144,7 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   executor.Shutdown();
 
   RunResult result;
-  result.transport = transport;
+  result.clients = clients;
   result.workers = workers;
   result.pipeline = pipeline;
   result.seconds = seconds;
@@ -171,7 +167,7 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   return result;
 }
 
-bool ParseWorkerList(const std::string& spec, std::vector<int>* out) {
+bool ParseIntList(const std::string& spec, std::vector<int>* out) {
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
@@ -184,22 +180,9 @@ bool ParseWorkerList(const std::string& spec, std::vector<int>* out) {
   return !out->empty();
 }
 
-bool ParseTransportList(const std::string& spec,
-                        std::vector<std::string>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string token = spec.substr(pos, comma - pos);
-    if (token != "tcp" && token != "shm") return false;
-    out->push_back(std::move(token));
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-void WriteJson(const std::string& path, int clients, int batches,
-               int64_t points, const std::vector<RunResult>& results) {
+void WriteJson(const std::string& path, const std::string& git_sha,
+               int batches, int64_t points, int64_t kernels,
+               const std::vector<RunResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -207,19 +190,25 @@ void WriteJson(const std::string& path, int clients, int batches,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"serve_throughput\",\n"
-               "  \"clients\": %d,\n  \"batches_per_client\": %d,\n"
-               "  \"points_per_batch\": %lld,\n  \"results\": [\n",
-               clients, batches, static_cast<long long>(points));
+               "  \"meta\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\", \"git_sha\": \"%s\"},\n"
+               "  \"batches_per_client\": %d,\n"
+               "  \"points_per_batch\": %lld,\n  \"kernels\": %lld,\n"
+               "  \"results\": [\n",
+               std::thread::hardware_concurrency(), DBS_BENCH_COMPILER,
+               DBS_BENCH_BUILD_TYPE, git_sha.c_str(), batches,
+               static_cast<long long>(points),
+               static_cast<long long>(kernels));
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     std::fprintf(f,
-                 "    {\"transport\": \"%s\", \"workers\": %d, "
+                 "    {\"clients\": %d, \"workers\": %d, "
                  "\"pipeline\": %d, \"requests\": %lld, "
                  "\"failed\": %lld, \"mismatched\": %lld, "
                  "\"seconds\": %.6f, "
                  "\"requests_per_sec\": %.2f, \"points_per_sec\": %.1f, "
                  "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
-                 r.transport.c_str(), r.workers, r.pipeline,
+                 r.clients, r.workers, r.pipeline,
                  static_cast<long long>(r.requests),
                  static_cast<long long>(r.failed),
                  static_cast<long long>(r.mismatched), r.seconds,
@@ -236,28 +225,23 @@ void WriteJson(const std::string& path, int clients, int batches,
 int main(int argc, char** argv) {
   dbs::tools::Flags flags;
   if (!flags.Parse(argc, argv)) return 2;
-  int clients = static_cast<int>(flags.GetInt("clients", 4));
+  std::string clients_spec = flags.GetString("clients", "4");
   int batches = static_cast<int>(flags.GetInt("batches", 40));
   int64_t points = flags.GetInt("points", 2000);
   int64_t kernels = flags.GetInt("kernels", 64);
   std::string workers_spec = flags.GetString("workers", "1,2,4,8");
-  std::string transports_spec = flags.GetString("transports", "tcp,shm");
-  int pipeline = static_cast<int>(flags.GetInt("pipeline", 1));
+  std::string pipeline_spec = flags.GetString("pipeline", "1");
+  std::string git_sha = flags.GetString("git_sha", "unavailable");
   std::string out = flags.GetString("out", "BENCH_serve_throughput.json");
   if (!flags.AllKnown()) return 2;
+  std::vector<int> client_counts;
   std::vector<int> worker_counts;
-  if (!ParseWorkerList(workers_spec, &worker_counts)) {
-    std::fprintf(stderr, "bad workers= list '%s'\n", workers_spec.c_str());
-    return 2;
-  }
-  std::vector<std::string> transports;
-  if (!ParseTransportList(transports_spec, &transports)) {
-    std::fprintf(stderr, "bad transports= list '%s'\n",
-                 transports_spec.c_str());
-    return 2;
-  }
-  if (pipeline < 1) {
-    std::fprintf(stderr, "pipeline must be at least 1\n");
+  std::vector<int> pipelines;
+  if (!ParseIntList(clients_spec, &client_counts) ||
+      !ParseIntList(workers_spec, &worker_counts) ||
+      !ParseIntList(pipeline_spec, &pipelines)) {
+    std::fprintf(stderr, "clients=, workers= and pipeline= must be lists of "
+                         "positive integers\n");
     return 2;
   }
 
@@ -272,8 +256,8 @@ int main(int argc, char** argv) {
   dbs::data::PointSet queries = MakeData(points, 99);
 
   // The ground-truth response frame, computed through the same dispatch
-  // path the server runs. Every response from every transport must match
-  // these bytes exactly — any drift is a transport bug, not noise.
+  // path the server runs. Every served response must match these bytes
+  // exactly — any drift is a transport bug, not noise.
   dbs::serve::DensityBatchRequest request;
   request.model = "est";
   request.points = queries;
@@ -284,9 +268,9 @@ int main(int argc, char** argv) {
   {
     dbs::serve::ModelRegistry registry;
     DBS_CHECK(registry.Put("est", model, "kde").ok());
-    dbs::serve::BatchExecutorOptions pool;
+    dbs::parallel::BatchExecutorOptions pool;
     pool.num_workers = 1;
-    dbs::serve::BatchExecutor executor(pool);
+    dbs::parallel::BatchExecutor executor(pool);
     dbs::serve::ModelService service(&registry, &executor);
     size_t consumed = 0;
     auto frame = dbs::serve::DecodeFrame(request_bytes.data(),
@@ -301,34 +285,39 @@ int main(int argc, char** argv) {
     executor.Shutdown();
   }
 
-  std::printf("serve_throughput: %d clients x %d density batches of %lld "
-              "points (%lld kernels, pipeline %d)\n\n",
-              clients, batches, static_cast<long long>(queries.size()),
-              static_cast<long long>(kernels), pipeline);
-  std::printf("%6s %8s %10s %8s %9s %12s %14s %10s %10s\n", "trans",
-              "workers", "requests", "failed", "mismatch", "req/s",
-              "points/s", "p50_us", "p99_us");
+  std::printf("serve_throughput: %d density batches per client of %lld "
+              "points (%lld kernels)\n\n",
+              batches, static_cast<long long>(queries.size()),
+              static_cast<long long>(kernels));
+  std::printf("%7s %8s %8s %10s %8s %9s %12s %14s %10s %10s\n", "clients",
+              "pipeline", "workers", "requests", "failed", "mismatch",
+              "req/s", "points/s", "p50_us", "p99_us");
   std::vector<RunResult> results;
   int64_t total_mismatched = 0;
   int64_t total_failed = 0;
-  for (const std::string& transport : transports) {
-    for (int workers : worker_counts) {
-      RunResult result =
-          RunOne(transport, workers, clients, batches, pipeline, model,
-                 request_bytes, expected_bytes, queries.size());
-      std::printf("%6s %8d %10lld %8lld %9lld %12.1f %14.0f %10.1f %10.1f\n",
-                  result.transport.c_str(), result.workers,
-                  static_cast<long long>(result.requests),
-                  static_cast<long long>(result.failed),
-                  static_cast<long long>(result.mismatched),
-                  result.requests_per_sec, result.points_per_sec,
-                  result.p50_us, result.p99_us);
-      total_mismatched += result.mismatched;
-      total_failed += result.failed;
-      results.push_back(result);
+  for (int clients : client_counts) {
+    for (int pipeline : pipelines) {
+      for (int workers : worker_counts) {
+        RunResult result =
+            RunOne(clients, workers, batches, pipeline, model, request_bytes,
+                   expected_bytes, queries.size());
+        std::printf(
+            "%7d %8d %8d %10lld %8lld %9lld %12.1f %14.0f %10.1f %10.1f\n",
+            result.clients, result.pipeline, result.workers,
+            static_cast<long long>(result.requests),
+            static_cast<long long>(result.failed),
+            static_cast<long long>(result.mismatched),
+            result.requests_per_sec, result.points_per_sec, result.p50_us,
+            result.p99_us);
+        total_mismatched += result.mismatched;
+        total_failed += result.failed;
+        results.push_back(result);
+      }
     }
   }
-  if (!out.empty()) WriteJson(out, clients, batches, queries.size(), results);
+  if (!out.empty()) {
+    WriteJson(out, git_sha, batches, queries.size(), kernels, results);
+  }
   if (total_mismatched > 0) {
     std::fprintf(stderr,
                  "FAIL: %lld response frame(s) differed from the expected "

@@ -23,10 +23,6 @@
 #include "data/point_set.h"
 #include "util/status.h"
 
-namespace dbs::parallel {
-class BatchExecutor;
-}  // namespace dbs::parallel
-
 namespace dbs::cluster {
 
 struct HierarchicalOptions {
@@ -55,12 +51,6 @@ struct HierarchicalOptions {
   int phase1_max_size = 2;
   double phase2_trigger_multiple = 2.0;
   int phase2_max_size = 5;
-
-  // Optional executor for the per-merge batch distance pass. Shards write
-  // disjoint output slots and the reduction runs sequentially in index
-  // order, so results are bitwise identical at any worker count. nullptr
-  // runs single-threaded. Not owned; must outlive the call.
-  parallel::BatchExecutor* executor = nullptr;
 };
 
 // Clusters `points` (typically a sample). Representative points in the
@@ -75,8 +65,8 @@ struct HierarchicalOptions {
                                              const HierarchicalOptions& options);
 
 // Frozen pre-acceleration implementation, kept as the equivalence oracle
-// for tests and bench/micro_cluster. Quadratic scans; ignores
-// `options.executor`. Do not use outside verification.
+// for tests and bench/micro_cluster. Quadratic scans. Do not use outside
+// verification.
 [[nodiscard]] Result<ClusteringResult> HierarchicalClusterReference(
     const data::PointSet& points, const HierarchicalOptions& options);
 

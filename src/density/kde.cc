@@ -313,8 +313,8 @@ int64_t Kde::GatherTile(const int64_t* base_cell, TileScratch* scratch)
 
 double Kde::SumTile(const double* p, const double* soa, int64_t tile,
                     const double* exclude) const {
-  // The arithmetic lives in density/kernel_block.h so the dual-tree
-  // evaluator provably shares the frozen per-pair order (DESIGN.md §15).
+  // The arithmetic lives in density/kernel_block.h, the frozen per-pair
+  // order every batch path shares (DESIGN.md §9).
   return SumKernelProductTile(kernel_, dim(), p, inv_bandwidths_.data(), soa,
                               tile, exclude);
 }

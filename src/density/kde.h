@@ -63,12 +63,6 @@ struct KdeOptions {
   uint64_t seed = 1;
   // Build the compact-support grid index (identical results, faster eval).
   bool use_grid_index = true;
-  // Gate for the dual-tree evaluator's approximate mode (see
-  // density/dual_tree_kde.h — the fit itself is unaffected). 0 keeps the
-  // evaluator exact; > 0 lets it take a node's contribution interval
-  // midpoint once the interval is within this certified relative error
-  // budget. Consumed by DualTreeKde::Build(kde, fit_options).
-  double dual_tree_rel_error = 0.0;
 };
 
 class Kde final : public DensityEstimator {

@@ -1,11 +1,10 @@
 // The frozen per-pair kernel block loop shared by every tuned KDE path.
 //
 // SumKernelProductTile is THE summation kernel the bitwise-reproducibility
-// guarantees rest on: Kde's cell-sorted batch path (DESIGN.md §9) and the
-// dual-tree evaluator's exact and leaf paths (DESIGN.md §15) all sum a
-// point against an SoA center tile through this one function, so "both
-// paths use the same per-pair arithmetic in the same order" is true by
-// construction, not by parallel maintenance. Its include list is pinned in
+// guarantees rest on: Kde's cell-sorted and brute batch paths (DESIGN.md
+// §9) both sum a point against an SoA center tile through this one
+// function, so "both paths use the same per-pair arithmetic in the same
+// order" is true by construction, not by parallel maintenance. Its include list is pinned in
 // tools/lint/layers.txt; treat the arithmetic as frozen — any change here
 // changes every density byte in the system.
 //
@@ -14,8 +13,8 @@
 // factor multiplies through to +0.0 instead of branching out early, and
 // +0.0 terms are skipped before accumulation — both bitwise invisible,
 // because adding +0.0 to a non-negative sum cannot change its bits. The
-// consequence the dual-tree evaluator builds on: summing any SUPERSET of
-// the in-support centers, in ascending order, yields the identical bits.
+// consequence: summing any SUPERSET of the in-support centers, in
+// ascending order, yields the identical bits.
 
 #ifndef DBS_DENSITY_KERNEL_BLOCK_H_
 #define DBS_DENSITY_KERNEL_BLOCK_H_

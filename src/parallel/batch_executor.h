@@ -6,12 +6,11 @@
 // number of workers busy, never queue unbounded work, and make overload
 // VISIBLE instead of slow. It lives below `density` in the dependency
 // stack so estimators and samplers can shard batches without depending on
-// the serving layer (which re-exports it as serve::BatchExecutor).
-// Admission is
-// all-or-nothing and non-blocking: a submission that does not fit in the
-// queue returns kUnavailable immediately (the daemon surfaces that to the
-// client, who retries or backs off). Nothing in the submission path waits
-// on capacity, so a saturated server keeps answering.
+// the serving layer. Admission is all-or-nothing and non-blocking: a
+// submission that does not fit in the queue returns kUnavailable
+// immediately (the daemon surfaces that to the client, who retries or
+// backs off). Nothing in the submission path waits on capacity, so a
+// saturated server keeps answering.
 //
 // ParallelFor is the work-sharding primitive: it splits [0, total) into
 // roughly worker-count contiguous shards, admits them as one unit and waits

@@ -2,34 +2,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
 namespace dbs::serve {
-namespace {
-
-// Region names are per-session: pid + control fd + a process-wide counter
-// keeps parallel clients (and quick reconnects on a recycled fd) distinct.
-std::string FreshRegionName(int fd) {
-  static std::atomic<uint64_t> counter{0};
-  return "/dbsq-" + std::to_string(::getpid()) + "-" + std::to_string(fd) +
-         "-" + std::to_string(counter.fetch_add(1));
-}
-
-}  // namespace
 
 Result<Client> Client::Connect(uint16_t port, const std::string& host) {
-  ClientOptions options;
-  options.host = host;
-  return Connect(port, options);
-}
-
-Result<Client> Client::Connect(uint16_t port, const ClientOptions& options) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IoError(std::string("socket: ") + std::strerror(errno));
@@ -37,74 +20,28 @@ Result<Client> Client::Connect(uint16_t port, const ClientOptions& options) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    return Status::InvalidArgument("not an IPv4 address: " + options.host);
+    return Status::InvalidArgument("not an IPv4 address: " + host);
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status status = Status::IoError(std::string("connect to ") + options.host +
-                                    ": " + std::strerror(errno));
+    Status status = Status::IoError(std::string("connect to ") + host + ": " +
+                                    std::strerror(errno));
     ::close(fd);
     return status;
   }
-  Client client(fd);
-  if (options.transport == TransportKind::kShm) {
-    Status attached = client.AttachShm(options.shm_ring_bytes);
-    if (!attached.ok()) {
-      if (!options.shm_fallback_to_tcp) return attached;
-      // Keep serving over the TCP connection we already have; the caller
-      // can read why via shm_status().
-      client.shm_status_ = attached;
-    }
-  }
-  return client;
+  int nodelay = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+  return Client(fd);
 }
 
-Status Client::AttachShm(size_t ring_bytes) {
-  DBS_ASSIGN_OR_RETURN(std::unique_ptr<ShmSession> session,
-                       ShmSession::Create(FreshRegionName(fd_), ring_bytes));
-  ShmAttachRequest request;
-  request.name = session->name();
-  request.ring_bytes = ring_bytes;
-  // Still on TCP here (transport_ flips only on success), so this is an
-  // ordinary blocking exchange on the control connection. The round trip
-  // also publishes the region initialization to the daemon: its reply
-  // happens-after our writes above.
-  auto response = RoundTrip(MessageType::kShmAttachRequest,
-                            EncodeShmAttachRequest(request),
-                            MessageType::kOkResponse);
-  // Unlink regardless of outcome — the daemon has mapped the region (or
-  // never will), so the name has served its purpose and the kernel should
-  // reclaim the pages once both mappings drop, crash included.
-  session->Unlink();
-  DBS_RETURN_IF_ERROR(response.status());
-  shm_ = std::move(session);
-  transport_ = TransportKind::kShm;
-  return Status::Ok();
-}
-
-Client::Client(Client&& other) noexcept
-    : fd_(other.fd_),
-      transport_(other.transport_),
-      shm_status_(std::move(other.shm_status_)),
-      shm_(std::move(other.shm_)),
-      pending_(std::move(other.pending_)),
-      scratch_(std::move(other.scratch_)) {
-  other.fd_ = -1;
-  other.transport_ = TransportKind::kTcp;
-}
+Client::Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
-    transport_ = other.transport_;
-    shm_status_ = std::move(other.shm_status_);
-    shm_ = std::move(other.shm_);
-    pending_ = std::move(other.pending_);
-    scratch_ = std::move(other.scratch_);
     other.fd_ = -1;
-    other.transport_ = TransportKind::kTcp;
   }
   return *this;
 }
@@ -113,90 +50,18 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool Client::ServerClosed() const {
-  uint8_t byte = 0;
-  // After the shm attach the daemon never writes on the control socket, so
-  // any readable state here is EOF or an error — both mean the session is
-  // over.
-  ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (n == 0) return true;
-  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-    return false;
-  }
-  return true;
-}
-
 Status Client::Submit(MessageType type, const std::vector<uint8_t>& payload) {
   if (fd_ < 0) {
     return Status::FailedPrecondition("client connection is closed");
   }
-  if (transport_ == TransportKind::kTcp) {
-    return WriteFrame(fd_, type, payload);
-  }
-  ShmRing& ring = shm_->request_ring();
-  std::vector<uint8_t> bytes = EncodeFrame(type, payload);
-  if (bytes.size() > ring.max_record_bytes()) {
-    return Status::InvalidArgument(
-        "request frame exceeds the shm ring capacity; use a larger "
-        "shm_ring_bytes or transport=tcp");
-  }
-  ShmBackoff backoff;
-  while (!ring.TryPush(bytes.data(), bytes.size())) {
-    // Full request ring under pipelining: the daemon may itself be stuck
-    // pushing responses at a full response ring, so spinning here could
-    // deadlock. Draining a response into pending_ makes room on both sides;
-    // ReadResponseFrame hands it out later in order.
-    DBS_ASSIGN_OR_RETURN(bool popped,
-                         shm_->response_ring().TryPop(&scratch_));
-    if (popped) {
-      size_t consumed = 0;
-      DBS_ASSIGN_OR_RETURN(
-          Frame frame, DecodeFrame(scratch_.data(), scratch_.size(),
-                                   &consumed));
-      if (consumed != scratch_.size()) {
-        return Status::Internal("trailing garbage after shm frame");
-      }
-      pending_.push_back(std::move(frame));
-      backoff.Reset();
-      continue;
-    }
-    if (backoff.Step() && ServerClosed()) {
-      return Status::IoError("connection closed");
-    }
-  }
-  return Status::Ok();
+  return WriteFrame(fd_, type, payload);
 }
 
 Result<Frame> Client::ReadResponseFrame() {
   if (fd_ < 0) {
     return Status::FailedPrecondition("client connection is closed");
   }
-  if (transport_ == TransportKind::kTcp) {
-    return ReadFrame(fd_);
-  }
-  if (!pending_.empty()) {
-    Frame frame = std::move(pending_.front());
-    pending_.pop_front();
-    return frame;
-  }
-  ShmBackoff backoff;
-  for (;;) {
-    DBS_ASSIGN_OR_RETURN(bool popped,
-                         shm_->response_ring().TryPop(&scratch_));
-    if (popped) {
-      size_t consumed = 0;
-      DBS_ASSIGN_OR_RETURN(
-          Frame frame, DecodeFrame(scratch_.data(), scratch_.size(),
-                                   &consumed));
-      if (consumed != scratch_.size()) {
-        return Status::Internal("trailing garbage after shm frame");
-      }
-      return frame;
-    }
-    if (backoff.Step() && ServerClosed()) {
-      return Status::IoError("connection closed");
-    }
-  }
+  return ReadFrame(fd_);
 }
 
 Result<Frame> Client::RoundTrip(MessageType type,
@@ -242,8 +107,8 @@ Result<DensityBatchResponse> Client::Density(
 Result<std::vector<DensityBatchResponse>> Client::DensityPipelined(
     const std::vector<DensityBatchRequest>& requests, int window) {
   if (window < 1) window = 1;
-  // The response side (kernel socket buffers for TCP, the response ring for
-  // shm) has to absorb every in-flight answer, so the window stays modest.
+  // The kernel socket buffers have to absorb every in-flight answer, so the
+  // window stays modest.
   if (window > 64) window = 64;
 
   std::vector<Frame> frames;

@@ -5,14 +5,7 @@
 // per thread (each session is an independent request stream). Used by
 // the dbs_query tool, the examples and the end-to-end tests.
 //
-// Two transports carry the same frames (DESIGN.md §13): plain TCP, and a
-// shared-memory ring pair for colocated clients. Connect with
-// ClientOptions{.transport = TransportKind::kShm} to attempt the shm
-// upgrade; by default the client falls back to plain TCP when the daemon
-// declines (shm disabled, remote host) and records why in shm_status().
-// Responses are bitwise identical either way — the daemon runs both
-// transports through one dispatch path and one codec.
-//
+// The socket is TCP with TCP_NODELAY set, matching the daemon's side.
 // For throughput-sensitive callers, Submit/ReadResponseFrame expose the
 // raw frame stream so several requests can be in flight on the one session
 // (see DensityPipelined); responses always arrive in submission order.
@@ -21,56 +14,26 @@
 #define DBS_SERVE_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "serve/request.h"
-#include "serve/shm_transport.h"
 #include "serve/wire.h"
 #include "util/status.h"
 
 namespace dbs::serve {
-
-enum class TransportKind {
-  kTcp,
-  kShm,
-};
-
-struct ClientOptions {
-  std::string host = "127.0.0.1";
-  // Requested transport. kShm attaches a shared-memory ring pair over the
-  // TCP control connection; the daemon must be colocated.
-  TransportKind transport = TransportKind::kTcp;
-  // Per-direction ring data capacity for kShm (power of two within
-  // [kMinShmRingBytes, kMaxShmRingBytes]). Bounds the largest frame the
-  // session can carry: requests and responses must fit in one ring.
-  size_t shm_ring_bytes = 1ull << 20;
-  // When the shm attach fails (daemon declined, not colocated), continue
-  // over plain TCP instead of failing Connect; shm_status() records the
-  // reason. Set false to require shm.
-  bool shm_fallback_to_tcp = true;
-};
 
 class Client {
  public:
   // Connects to the daemon (loopback by default).
   [[nodiscard]] static Result<Client> Connect(uint16_t port,
                                 const std::string& host = "127.0.0.1");
-  [[nodiscard]] static Result<Client> Connect(uint16_t port, const ClientOptions& options);
 
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
   ~Client();
-
-  // The transport actually in use (kTcp after a fallback).
-  TransportKind transport() const { return transport_; }
-  // Why the shm attach fell back to TCP; Ok when shm is active or was
-  // never requested.
-  const Status& shm_status() const { return shm_status_; }
 
   // Registers the .dbsk model at `path` (a server-side path) under `name`.
   [[nodiscard]] Status RegisterModel(const std::string& name, const std::string& path);
@@ -115,11 +78,6 @@ class Client {
  private:
   explicit Client(int fd) : fd_(fd) {}
 
-  // Attempts the shm upgrade on the freshly connected control socket.
-  [[nodiscard]] Status AttachShm(size_t ring_bytes);
-  // True when the daemon closed the control connection (shm liveness probe).
-  bool ServerClosed() const;
-
   // Writes one request frame and reads the single response frame,
   // translating kErrorResponse frames into their Status.
   [[nodiscard]] Result<Frame> RoundTrip(MessageType type,
@@ -127,14 +85,6 @@ class Client {
                           MessageType expected_response);
 
   int fd_ = -1;
-  TransportKind transport_ = TransportKind::kTcp;
-  Status shm_status_ = Status::Ok();
-  std::unique_ptr<ShmSession> shm_;
-  // Responses popped while waiting for request-ring space (a full request
-  // ring under pipelining is relieved by consuming responses, never by
-  // spinning — see Submit).
-  std::deque<Frame> pending_;
-  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace dbs::serve

@@ -87,12 +87,6 @@ DispatchResult DispatchFrame(ModelService* service, const Frame& frame) {
       result.close = true;
       return result;
     }
-    case MessageType::kShmAttachRequest:
-      // The handshake is transport plumbing, not a service request: the TCP
-      // accept loop intercepts it before dispatch, and over a ring it makes
-      // no sense (the session already exists).
-      return AnswerError(Status::FailedPrecondition(
-          "shm attach is only valid on the TCP control connection"));
     default:
       return Reject(
           Status::InvalidArgument("response message sent as a request"));

@@ -1,12 +1,10 @@
-// Transport-agnostic execution of one decoded DBSQ request frame.
+// Execution of one decoded DBSQ request frame, independent of the socket.
 //
-// Both transports — the per-connection TCP loop in serve/server.cc and the
-// shared-memory drain thread in serve/shm_transport.cc — decode a frame,
-// hand it here, and ship the returned response frame back the way the
-// request came. Because the response bytes are produced by one dispatch
-// path and one codec regardless of transport, a request stream answered
-// over shm is bitwise identical to the same stream answered over TCP
-// (pinned by tests/serve_shm_transport_test.cc).
+// The per-connection loop in serve/server.cc decodes a frame, hands it
+// here, and writes the returned response frame back. In-process callers
+// (bench/serve_throughput's reference frame, perfbench's serve baseline)
+// call the same function, so a served answer is byte-identical to the one
+// computed without a socket (pinned by tests/serve_e2e_test.cc).
 
 #ifndef DBS_SERVE_DISPATCH_H_
 #define DBS_SERVE_DISPATCH_H_

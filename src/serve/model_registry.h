@@ -57,16 +57,6 @@ class ModelRegistry {
   // Loads a .dbsk KDE model from `path` and registers it under `name`.
   [[nodiscard]] Status LoadKdeFile(const std::string& name, const std::string& path);
 
-  // Like LoadKdeFile, but serves the model through the dual-tree evaluator
-  // (density/dual_tree_kde.h) instead of the flat grid index: exact (and
-  // bitwise identical to the ascending-center Kde path) when rel_error is
-  // 0, certified-approximate within `rel_error` otherwise. Registered under
-  // kind "kde-dualtree"; dispatch needs no changes — it is just another
-  // DensityEstimator.
-  [[nodiscard]] Status LoadKdeFileDualTree(const std::string& name,
-                                           const std::string& path,
-                                           double rel_error = 0.0);
-
   // Looks up a model by name. The returned pointer keeps the model alive
   // even if it is concurrently evicted or hot-swapped.
   [[nodiscard]] Result<std::shared_ptr<const density::DensityEstimator>> Get(

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,9 +27,6 @@ Result<std::unique_ptr<Server>> Server::Start(ModelService* service,
                                               const ServerOptions& options) {
   if (service == nullptr) {
     return Status::InvalidArgument("server requires a service");
-  }
-  if (options.shm_drain_batch < 1) {
-    return Status::InvalidArgument("shm_drain_batch must be at least 1");
   }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return SocketError("socket");
@@ -56,24 +54,13 @@ Result<std::unique_ptr<Server>> Server::Start(ModelService* service,
 
   std::unique_ptr<Server> server(
       new Server(  // dbs-lint: allow(raw-alloc): private ctor
-          service, fd, ntohs(addr.sin_port), options));
-  if (options.enable_shm) {
-    ShmServerDrain::Options drain_options;
-    drain_options.drain_batch = options.shm_drain_batch;
-    server->drain_ = std::make_unique<ShmServerDrain>(
-        service, [raw = server.get()] { raw->RequestShutdown(); },
-        drain_options);
-  }
+          service, fd, ntohs(addr.sin_port)));
   server->acceptor_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
   return server;
 }
 
-Server::Server(ModelService* service, int listen_fd, uint16_t port,
-               const ServerOptions& options)
-    : service_(service),
-      listen_fd_(listen_fd),
-      port_(port),
-      options_(options) {}
+Server::Server(ModelService* service, int listen_fd, uint16_t port)
+    : service_(service), listen_fd_(listen_fd), port_(port) {}
 
 Server::~Server() { Stop(); }
 
@@ -85,6 +72,8 @@ void Server::AcceptLoop() {
       // Listener was shut down (Stop) or broke; either way we are done.
       return;
     }
+    int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
@@ -102,66 +91,16 @@ void Server::HandleConnection(int fd) {
     if (!ServeOne(fd, *frame)) break;
   }
   // Unlink before closing so Stop never touches a recycled descriptor.
-  bool attached = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     connection_fds_.erase(
         std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
         connection_fds_.end());
-    auto it = std::find(shm_fds_.begin(), shm_fds_.end(), fd);
-    if (it != shm_fds_.end()) {
-      shm_fds_.erase(it);
-      attached = true;
-    }
   }
-  // The control connection is the shm session's lifetime anchor: its close
-  // releases the mapping.
-  if (attached && drain_ != nullptr) drain_->Detach(fd);
   ::close(fd);
 }
 
-Status Server::AttachShm(int fd, const Frame& frame) {
-  DBS_ASSIGN_OR_RETURN(ShmAttachRequest request,
-                       DecodeShmAttachRequest(frame.payload));
-  if (drain_ == nullptr) {
-    return Status::FailedPrecondition(
-        "shm transport disabled on this daemon (transport=tcp)");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::find(shm_fds_.begin(), shm_fds_.end(), fd) != shm_fds_.end()) {
-      return Status::FailedPrecondition(
-          "connection already has an shm session attached");
-    }
-  }
-  DBS_ASSIGN_OR_RETURN(std::unique_ptr<ShmSession> session,
-                       ShmSession::Open(request.name));
-  if (session->ring_bytes() != request.ring_bytes) {
-    return Status::InvalidArgument(
-        "shm region ring capacity disagrees with the attach request");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shm_fds_.push_back(fd);
-  }
-  drain_->Attach(fd, std::move(session));
-  return Status::Ok();
-}
-
 bool Server::ServeOne(int fd, const Frame& frame) {
-  // The attach handshake is transport plumbing for THIS connection, so it
-  // is handled here rather than in the transport-agnostic dispatch. Attach
-  // failures keep the connection open: the client falls back to TCP on it.
-  if (frame.type == MessageType::kShmAttachRequest) {
-    Status status = AttachShm(fd, frame);
-    if (!status.ok()) {
-      return WriteFrame(fd, MessageType::kErrorResponse,
-                        EncodeErrorResponse(status))
-          .ok();
-    }
-    return WriteFrame(fd, MessageType::kOkResponse, {}).ok();
-  }
-
   DispatchResult result = DispatchFrame(service_, frame);
   bool write_ok =
       WriteFrame(fd, result.response.type, result.response.payload).ok();
@@ -203,9 +142,6 @@ void Server::Stop() {
   for (std::thread& t : to_join) {
     if (t.joinable()) t.join();
   }
-  // Connection threads detach their sessions on exit; stopping the drain
-  // afterwards releases anything that never detached.
-  if (drain_ != nullptr) drain_->Stop();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -1,4 +1,4 @@
-// Serving daemon front end: loopback TCP plus the shared-memory transport.
+// Serving daemon front end: loopback TCP.
 //
 // One acceptor thread plus one thread per connection: each client issues
 // blocking request/response exchanges over its own socket, so N clients put
@@ -7,20 +7,16 @@
 // to the shared ModelService via DispatchFrame, which is what keeps served
 // answers identical to in-process library calls.
 //
-// Colocated clients can upgrade a connection to the shared-memory transport
-// (DESIGN.md §13): a kShmAttachRequest names a client-created region holding
-// an SPSC ring pair, the server maps it and the drain thread takes over that
-// client's request stream — the TCP connection stays open only as the
-// session's lifetime anchor. Responses are produced by the same dispatch
-// path and codec either way, so they are bitwise identical across
-// transports.
+// Every accepted socket gets TCP_NODELAY: requests and responses are
+// single frames that must not wait out Nagle's algorithm behind the
+// peer's delayed ACK (that pairing cost pipelined clients tens of ms p99).
 //
 // Lifecycle: Start binds 127.0.0.1 (port 0 picks an ephemeral port,
 // reported by port()); Stop() — also run by the destructor — closes the
-// listener and all connection sockets, stops the shm drain, then joins
-// every thread. A client can end the daemon remotely with a shutdown frame
-// over either transport; WaitForShutdown blocks until that frame arrives
-// (or Stop is called), which is how dbsd sleeps.
+// listener and all connection sockets, then joins every thread. A client
+// can end the daemon remotely with a shutdown frame; WaitForShutdown
+// blocks until that frame arrives (or Stop is called), which is how dbsd
+// sleeps.
 
 #ifndef DBS_SERVE_SERVER_H_
 #define DBS_SERVE_SERVER_H_
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "serve/service.h"
-#include "serve/shm_transport.h"
 #include "serve/wire.h"
 #include "util/status.h"
 
@@ -44,11 +39,6 @@ struct ServerOptions {
   uint16_t port = 0;
   // Listen backlog.
   int backlog = 64;
-  // Accept kShmAttachRequest upgrades. Off = attach requests are answered
-  // with kFailedPrecondition and clients fall back to TCP.
-  bool enable_shm = true;
-  // Frames the drain thread pops per session per sweep.
-  int shm_drain_batch = 32;
 };
 
 class Server {
@@ -73,25 +63,18 @@ class Server {
   void Stop();
 
  private:
-  Server(ModelService* service, int listen_fd, uint16_t port,
-         const ServerOptions& options);
+  Server(ModelService* service, int listen_fd, uint16_t port);
 
   void AcceptLoop();
   void HandleConnection(int fd);
   // Decodes and executes one request frame; returns false when the
   // connection should close (peer gone, framing violation or shutdown).
   bool ServeOne(int fd, const Frame& frame);
-  // Handles the shm upgrade handshake for connection `fd`.
-  [[nodiscard]] Status AttachShm(int fd, const Frame& frame);
   void RequestShutdown();
 
   ModelService* service_;
   int listen_fd_;
   uint16_t port_;
-  ServerOptions options_;
-
-  // Drain thread for attached shm sessions; null when enable_shm is off.
-  std::unique_ptr<ShmServerDrain> drain_;
 
   std::thread acceptor_;
 
@@ -103,8 +86,6 @@ class Server {
   bool stopping_ = false;
   bool shutdown_requested_ = false;
   std::vector<int> connection_fds_;
-  // Connections that upgraded to shm (keyed by fd), detached on close.
-  std::vector<int> shm_fds_;
   std::vector<std::thread> connection_threads_;
 };
 

@@ -32,7 +32,8 @@ double ElapsedUs(Clock::time_point start) {
 
 }  // namespace
 
-ModelService::ModelService(ModelRegistry* registry, BatchExecutor* executor)
+ModelService::ModelService(ModelRegistry* registry,
+                           parallel::BatchExecutor* executor)
     : registry_(registry), executor_(executor) {
   DBS_CHECK(registry_ != nullptr);
   DBS_CHECK(executor_ != nullptr);

@@ -15,7 +15,7 @@ constexpr size_t kFrameHeaderBytes = 20;
 
 bool IsKnownMessageType(uint32_t type) {
   return (type >= static_cast<uint32_t>(MessageType::kRegisterRequest) &&
-          type <= static_cast<uint32_t>(MessageType::kShmAttachRequest)) ||
+          type <= static_cast<uint32_t>(MessageType::kPartialFitRequest)) ||
          (type >= static_cast<uint32_t>(MessageType::kErrorResponse) &&
           type <= static_cast<uint32_t>(MessageType::kPartialFitResponse));
 }
@@ -475,32 +475,6 @@ std::vector<uint8_t> EncodePartialFitRequest(
   }
   request.kernel = static_cast<density::KernelType>(kernel);
   request.bandwidth_rule = static_cast<density::BandwidthRule>(rule);
-  return request;
-}
-
-std::vector<uint8_t> EncodeShmAttachRequest(const ShmAttachRequest& request) {
-  WireWriter w;
-  w.PutString(request.name);
-  w.PutU64(request.ring_bytes);
-  return w.Take();
-}
-
-[[nodiscard]] Result<ShmAttachRequest> DecodeShmAttachRequest(
-    const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
-  ShmAttachRequest request;
-  r.GetString(&request.name);
-  r.GetU64(&request.ring_bytes);
-  if (!r.AtEnd()) return Corrupt("shm attach request");
-  if (request.name.empty() || request.name[0] != '/' ||
-      request.name.size() > kMaxShmName) {
-    return Corrupt("bad shm region name");
-  }
-  const uint64_t bytes = request.ring_bytes;
-  if (bytes < kMinShmRingBytes || bytes > kMaxShmRingBytes ||
-      (bytes & (bytes - 1)) != 0) {
-    return Corrupt("shm ring capacity must be a power of two in range");
-  }
   return request;
 }
 

@@ -37,11 +37,6 @@ inline constexpr uint64_t kMaxWireString = 4096;
 inline constexpr uint32_t kMaxWireDim = 1024;
 // Ceiling on the shard count of a serialized partial-build state.
 inline constexpr uint32_t kMaxWireShards = 65536;
-// POSIX shm region names ("/dbsq-...") are capped well below NAME_MAX.
-inline constexpr uint64_t kMaxShmName = 128;
-// Bounds on the per-direction shm ring capacity a client may request.
-inline constexpr uint64_t kMinShmRingBytes = 1ull << 12;
-inline constexpr uint64_t kMaxShmRingBytes = 1ull << 30;
 
 // Wire message identifiers. Requests reuse RequestType values; responses
 // live in a disjoint range. Append only.
@@ -54,7 +49,7 @@ enum class MessageType : uint32_t {
   kStatsRequest = 6,
   kShutdownRequest = 7,
   kPartialFitRequest = 8,
-  kShmAttachRequest = 9,
+  // 9 is retired (it was kShmAttachRequest); never reuse it.
   kErrorResponse = 100,
   kOkResponse = 101,
   kDensityResponse = 102,
@@ -169,22 +164,6 @@ std::vector<uint8_t> EncodeStatsResponse(const StatsResponse& response);
 std::vector<uint8_t> EncodePartialFitRequest(
     const PartialFitRequest& request);
 [[nodiscard]] Result<PartialFitRequest> DecodePartialFitRequest(
-    const std::vector<uint8_t>& payload);
-
-// Shared-memory transport handshake (DESIGN.md §13): the client created a
-// region named `name` holding a request/response ring pair of `ring_bytes`
-// each, and asks the daemon to map it and start draining. Pure transport
-// plumbing — the service layer never sees it — so the struct lives here
-// with the codec rather than in request.h. The daemon answers kOkResponse
-// once the region is mapped, or kErrorResponse (kNotFound when the region
-// is absent) to make the client fall back to TCP.
-struct ShmAttachRequest {
-  std::string name;
-  uint64_t ring_bytes = 0;
-};
-
-std::vector<uint8_t> EncodeShmAttachRequest(const ShmAttachRequest& request);
-[[nodiscard]] Result<ShmAttachRequest> DecodeShmAttachRequest(
     const std::vector<uint8_t>& payload);
 
 // Serialized mergeable KDE state (the kPartialFitResponse payload): per

@@ -91,11 +91,11 @@ Result<std::vector<Partial>> ShardCoordinator::RunShards(
     for (int64_t s = 0; s < num_shards; ++s) {
       tasks.push_back([&, s] {
         run_one(s);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          --remaining;
-        }
-        done.notify_one();
+        // Notify while holding the lock: once remaining reaches zero the
+        // waiter may return and destroy `done`, so no task may touch it
+        // after unlocking.
+        std::lock_guard<std::mutex> lock(mu);
+        if (--remaining == 0) done.notify_one();
       });
     }
     if (options_.executor->TrySubmitAll(std::move(tasks)).ok()) {

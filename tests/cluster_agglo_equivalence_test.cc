@@ -2,10 +2,10 @@
 // frozen reference implementation (DESIGN.md §11).
 //
 // The frozen goldens in cluster_hierarchical_test.cc pin eight specific
-// hashes forever; this suite sweeps a randomized grid of sizes, dims,
-// elimination settings and executor worker counts and requires the two
-// implementations to agree on every byte that HierarchicalCluster
-// publishes: labels, member order, centroid bits, and representative bits.
+// hashes forever; this suite sweeps a randomized grid of sizes, dims and
+// elimination settings and requires the two implementations to agree on
+// every byte that HierarchicalCluster publishes: labels, member order,
+// centroid bits, and representative bits.
 // Comparison is on the raw double bit patterns, so even a signed-zero or
 // last-ulp divergence fails.
 
@@ -17,7 +17,6 @@
 
 #include "cluster/hierarchical.h"
 #include "data/point_set.h"
-#include "parallel/batch_executor.h"
 #include "util/rng.h"
 
 namespace dbs::cluster {
@@ -99,24 +98,9 @@ TEST_P(AggloEquivalenceTest, MatchesFrozenReferenceBitwise) {
   auto ref = HierarchicalClusterReference(ps, opts);
   ASSERT_TRUE(ref.ok()) << ref.status().message();
 
-  // Single-threaded accelerated path.
   auto fast = HierarchicalCluster(ps, opts);
   ASSERT_TRUE(fast.ok()) << fast.status().message();
   ExpectBitwiseEqual(*fast, *ref);
-
-  // Executor-sharded path must not change a single bit either.
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(workers);
-    parallel::BatchExecutorOptions eopts;
-    eopts.num_workers = workers;
-    eopts.min_shard = 16;  // force real sharding at these sizes
-    parallel::BatchExecutor executor(eopts);
-    HierarchicalOptions popts = opts;
-    popts.executor = &executor;
-    auto par = HierarchicalCluster(ps, popts);
-    ASSERT_TRUE(par.ok()) << par.status().message();
-    ExpectBitwiseEqual(*par, *ref);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,6 +17,7 @@
 #include "parallel/batch_executor.h"
 #include "sampling/uniform_sampler.h"
 #include "synth/generator.h"
+#include "test_temp.h"
 
 namespace dbs::core {
 namespace {
@@ -34,7 +35,7 @@ synth::ClusteredDataset MakeData(uint64_t seed) {
 }
 
 std::string StageFile(const data::PointSet& points, const char* name) {
-  std::string path = std::string(::testing::TempDir()) + "/" + name;
+  std::string path = test::TempPath(name);
   DBS_CHECK(data::WriteDatasetFile(path, points).ok());
   return path;
 }

@@ -7,6 +7,7 @@
 
 #include "data/dataset_io.h"
 #include "data/point_set.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs::data {
@@ -24,9 +25,7 @@ PointSet MakeRandomPoints(int64_t n, int dim, uint64_t seed) {
   return ps;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::TempPath;
 
 TEST(InMemoryScanTest, YieldsAllRowsAcrossBatches) {
   PointSet ps = MakeRandomPoints(1000, 3, 1);

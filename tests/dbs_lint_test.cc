@@ -151,13 +151,6 @@ TEST(UnorderedContainer, FlagsOnlyInDensityCoreAndShard) {
   // and worker counts; the cell-list grid must keep deterministic order.
   EXPECT_EQ(Rules(LintSource("src/outlier/cell_list.cc", bad)),
             std::vector<std::string>{"unordered-container"});
-  // The shm transport files carry the bitwise transport-equivalence
-  // contract, so they are in scope too. (The header snippet needs a guard
-  // so only the rule under test fires.)
-  EXPECT_EQ(Rules(LintSource("src/serve/shm_ring.h", "#pragma once\n" + bad)),
-            std::vector<std::string>{"unordered-container"});
-  EXPECT_EQ(Rules(LintSource("src/serve/shm_transport.cc", bad)),
-            std::vector<std::string>{"unordered-container"});
   // The registry keyed by model name is outside the numeric core.
   EXPECT_TRUE(LintSource("src/serve/model_registry.cc", bad).empty());
   EXPECT_TRUE(LintSource("tests/foo_test.cc", bad).empty());
@@ -170,6 +163,47 @@ TEST(ServeThrow, FlagsThrowOnlyInServe) {
   EXPECT_EQ(Rules(LintSource("src/serve/service.cc", bad)),
             std::vector<std::string>{"serve-throw"});
   EXPECT_TRUE(LintSource("src/cluster/kmeans.cc", bad).empty());
+}
+
+// --- shared-temp-path -------------------------------------------------------
+
+TEST(SharedTempPath, FlagsFixedNamesUnderTempDirInTests) {
+  const std::string direct =
+      "std::string p = ::testing::TempDir() + \"x.dbsf\";\n";
+  EXPECT_EQ(Rules(LintSource("tests/foo_test.cc", direct)),
+            std::vector<std::string>{"shared-temp-path"});
+  // Wrapped in a std::string(...) conversion.
+  EXPECT_EQ(Rules(LintSource(
+                "tests/foo_test.cc",
+                "auto p = std::string(::testing::TempDir()) + \"/x\";\n")),
+            std::vector<std::string>{"shared-temp-path"});
+  // The literal on the line after the `+`; the finding sits on the call.
+  const auto split = LintSource("tests/foo_test.cc",
+                                "auto p = ::testing::TempDir() +\n"
+                                "         \"x.dbsk\";\n");
+  ASSERT_EQ(Rules(split), std::vector<std::string>{"shared-temp-path"});
+  EXPECT_EQ(split[0].line, 1);
+}
+
+TEST(SharedTempPath, IgnoresPerProcessPathsAndNonTestCode) {
+  EXPECT_TRUE(LintSource("tests/foo_test.cc",
+                         "auto p = test::TempPath(\"x.dbsf\");\n")
+                  .empty());
+  // Building the per-process directory itself is not a shared name.
+  EXPECT_TRUE(LintSource("tests/foo_test.cc",
+                         "std::string d = ::testing::TempDir();\n"
+                         "d += \"dbs_test_XXXXXX\";\n")
+                  .empty());
+  EXPECT_TRUE(LintSource("tests/foo_test.cc",
+                         "auto p = ::testing::TempDir() + name;\n")
+                  .empty());
+  const std::string direct =
+      "std::string p = ::testing::TempDir() + \"x.dbsf\";\n";
+  EXPECT_TRUE(LintSource("bench/foo.cc", direct).empty());
+  EXPECT_TRUE(LintSource("tests/foo_test.cc",
+                         "// dbs-lint: allow(shared-temp-path): one process\n" +
+                             direct)
+                  .empty());
 }
 
 // --- header rules -----------------------------------------------------------

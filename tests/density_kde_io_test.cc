@@ -8,6 +8,7 @@
 
 #include "core/biased_sampler.h"
 #include "data/point_set.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs::density {
@@ -16,9 +17,7 @@ namespace {
 using data::PointSet;
 using data::PointView;
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::TempPath;
 
 PointSet ClusteredData(uint64_t seed) {
   Rng rng(seed);

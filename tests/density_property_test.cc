@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
-#include "density/dual_tree_kde.h"
 #include "density/grid_density.h"
 #include "density/histogram_density.h"
 #include "density/kde.h"
@@ -194,100 +193,6 @@ TEST(KdeSeedSweepTest, CenterSamplingIsUnbiasedAcrossSeeds) {
     means.Add(kde->Evaluate(PointView(q, 2)));
   }
   EXPECT_NEAR(means.mean(), static_cast<double>(n), 0.1 * n);
-}
-
-// Structural invariants of the dual-tree evaluator's kd-tree, checked via
-// the test-only introspection hooks (DualTreeKde::NodeView): the leaf-item
-// array is a permutation of [0, m), leaves partition it into disjoint
-// ascending runs, every interior node's children exactly partition its
-// range, and every node's box contains all the centers in its subtree.
-TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
-  struct Shape {
-    int dim;
-    int64_t kernels;
-    int leaf_size;
-  };
-  const Shape kShapes[] = {{1, 37, 4}, {2, 200, 1}, {3, 500, 32},
-                           {4, 64, 64}, {2, 1, 8}};
-  for (const Shape& shape : kShapes) {
-    PointSet ps = UniformCube(std::max<int64_t>(shape.kernels * 3, 200),
-                              shape.dim, 17 + shape.dim);
-    KdeOptions opts;
-    opts.num_kernels = shape.kernels;
-    opts.use_grid_index = false;
-    opts.seed = 23;
-    auto kde = Kde::Fit(ps, opts);
-    ASSERT_TRUE(kde.ok());
-    DualTreeKdeOptions tree_opts;
-    tree_opts.leaf_size = shape.leaf_size;
-    auto tree = DualTreeKde::Build(*kde, tree_opts);
-    ASSERT_TRUE(tree.ok());
-
-    const int64_t m = tree->num_kernels();
-    const std::vector<int32_t>& items = tree->leaf_items();
-    ASSERT_EQ(static_cast<int64_t>(items.size()), m);
-
-    // The item array is a permutation: every kernel appears exactly once.
-    std::vector<int> seen(static_cast<size_t>(m), 0);
-    for (int32_t item : items) {
-      ASSERT_GE(item, 0);
-      ASSERT_LT(item, m);
-      ++seen[static_cast<size_t>(item)];
-    }
-    for (int64_t i = 0; i < m; ++i) ASSERT_EQ(seen[static_cast<size_t>(i)], 1);
-
-    const int32_t root = tree->root();
-    ASSERT_GE(root, 0);
-    {
-      DualTreeKde::NodeView root_view = tree->node(root);
-      ASSERT_EQ(root_view.begin, 0);
-      ASSERT_EQ(static_cast<int64_t>(root_view.end), m);
-    }
-
-    // Walk the whole tree: child ranges partition the parent, leaf runs
-    // are ascending and at most leaf_size long (unless degenerate), and
-    // each node's box contains its members.
-    int64_t leaf_members = 0;
-    std::vector<int32_t> stack = {root};
-    while (!stack.empty()) {
-      const int32_t id = stack.back();
-      stack.pop_back();
-      DualTreeKde::NodeView node = tree->node(id);
-      ASSERT_LT(node.begin, node.end);
-      for (int32_t t = node.begin; t < node.end; ++t) {
-        data::PointView c = tree->centers()[items[static_cast<size_t>(t)]];
-        for (int j = 0; j < shape.dim; ++j) {
-          ASSERT_GE(c[j], node.lo[j]) << "node " << id;
-          ASSERT_LE(c[j], node.hi[j]) << "node " << id;
-        }
-      }
-      if (node.is_leaf) {
-        ASSERT_LE(node.end - node.begin, shape.leaf_size);
-        for (int32_t t = node.begin + 1; t < node.end; ++t) {
-          ASSERT_LT(items[static_cast<size_t>(t - 1)],
-                    items[static_cast<size_t>(t)]);
-        }
-        leaf_members += node.end - node.begin;
-        continue;
-      }
-      DualTreeKde::NodeView left = tree->node(node.left);
-      DualTreeKde::NodeView right = tree->node(node.right);
-      ASSERT_EQ(left.begin, node.begin);
-      ASSERT_EQ(left.end, right.begin);
-      ASSERT_EQ(right.end, node.end);
-      // Child boxes nest inside the parent box.
-      for (int j = 0; j < shape.dim; ++j) {
-        ASSERT_GE(left.lo[j], node.lo[j]);
-        ASSERT_LE(left.hi[j], node.hi[j]);
-        ASSERT_GE(right.lo[j], node.lo[j]);
-        ASSERT_LE(right.hi[j], node.hi[j]);
-      }
-      stack.push_back(node.left);
-      stack.push_back(node.right);
-    }
-    // The leaves together cover every kernel exactly once.
-    ASSERT_EQ(leaf_members, m);
-  }
 }
 
 }  // namespace

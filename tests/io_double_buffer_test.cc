@@ -16,15 +16,14 @@
 
 #include "data/dataset.h"
 #include "data/dataset_io.h"
+#include "test_temp.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace dbs::data {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::TempPath;
 
 void WriteBytes(const std::string& path,
                 const std::vector<unsigned char>& bytes) {

@@ -16,6 +16,7 @@
 
 #include "data/dataset_io.h"
 #include "serve/wire.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -23,9 +24,7 @@ namespace {
 
 using namespace dbs::serve;  // NOLINT: test-local brevity
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::TempPath;
 
 void WriteBytes(const std::string& path,
                 const std::vector<unsigned char>& bytes) {

@@ -13,14 +13,13 @@
 #include "data/dataset_io.h"
 #include "density/kde.h"
 #include "density/kde_io.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::TempPath;
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -253,10 +253,12 @@ TEST(ClockNowTest, WallClockReadInLibraryFlagged) {
             std::vector<std::string>{"clock-now"});
   EXPECT_EQ(Rules(RunRules("tools/dbs_x.cc", body)),
             std::vector<std::string>{"clock-now"});
-  // bench/ exists to measure time; the audited timing files are exempt.
+  // bench/ exists to measure time; the audited Timer is exempt.
   EXPECT_TRUE(RunRules("bench/x.cc", body).empty());
   EXPECT_TRUE(RunRules("src/eval/experiment.h", body).empty());
-  EXPECT_TRUE(RunRules("src/serve/shm_transport.cc", body).empty());
+  // The serving stack has no audited timer of its own.
+  EXPECT_EQ(Rules(RunRules("src/serve/server.cc", body)),
+            std::vector<std::string>{"clock-now"});
 }
 
 TEST(ClockNowTest, BareClockCallFlaggedButMembersAreNot) {
@@ -291,9 +293,9 @@ TEST(RelaxedAtomicTest, RelaxedOrderOutsideAuditedFilesFlagged) {
                       "  auto v = flag.load(std::memory_order::relaxed);\n"
                       "}\n")),
             std::vector<std::string>{"relaxed-atomic"});
-  // The audited lock-free files carry the happens-before argument.
-  EXPECT_TRUE(RunRules("src/serve/shm_ring.h", body).empty());
-  EXPECT_TRUE(RunRules("src/serve/shm_transport.cc", body).empty());
+  // No file is exempt: the serving stack needs the argument too.
+  EXPECT_EQ(Rules(RunRules("src/serve/server.cc", body)),
+            std::vector<std::string>{"relaxed-atomic"});
   // Stronger orderings are always fine.
   EXPECT_TRUE(RunRules("src/data/x.cc",
                   "void F() {\n"

@@ -18,11 +18,12 @@
 #include "density/kde.h"
 #include "density/kde_io.h"
 #include "outlier/ball_integration.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -51,7 +52,7 @@ data::PointSet MakePoints(uint64_t seed, int64_t n) {
 class ServeE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = std::string(::testing::TempDir()) + "/serve_e2e.dbsk";
+    model_path_ = test::TempPath("serve_e2e.dbsk");
     density::KdeOptions options;
     options.num_kernels = 64;
     options.seed = 7;
@@ -64,10 +65,10 @@ class ServeE2eTest : public ::testing::Test {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     reference_ = std::make_unique<density::Kde>(std::move(loaded).value());
 
-    serve::BatchExecutorOptions pool;
+    parallel::BatchExecutorOptions pool;
     pool.num_workers = 4;
     pool.queue_capacity = 1024;
-    executor_ = std::make_unique<serve::BatchExecutor>(pool);
+    executor_ = std::make_unique<parallel::BatchExecutor>(pool);
     service_ =
         std::make_unique<serve::ModelService>(&registry_, executor_.get());
     auto server = serve::Server::Start(service_.get(), serve::ServerOptions{});
@@ -90,7 +91,7 @@ class ServeE2eTest : public ::testing::Test {
   std::string model_path_;
   std::unique_ptr<density::Kde> reference_;
   serve::ModelRegistry registry_;
-  std::unique_ptr<serve::BatchExecutor> executor_;
+  std::unique_ptr<parallel::BatchExecutor> executor_;
   std::unique_ptr<serve::ModelService> service_;
   std::unique_ptr<serve::Server> server_;
 };
@@ -301,6 +302,61 @@ TEST_F(ServeE2eTest, ErrorsComeBackAsStatusesAndConnectionSurvives) {
   EXPECT_EQ(client.Density(request).status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(client.RegisterModel("est", model_path_).ok());
   EXPECT_TRUE(client.Density(request).ok());
+}
+
+// Submit/ReadResponseFrame pipelining: up to four requests in flight on one
+// connection answer exactly what the same requests answer one at a time.
+TEST_F(ServeE2eTest, PipelinedDensityEqualsSequential) {
+  serve::Client setup = ConnectOrDie();
+  ASSERT_TRUE(setup.RegisterModel("est", model_path_).ok());
+
+  std::vector<serve::DensityBatchRequest> requests;
+  for (int b = 0; b < 8; ++b) {
+    serve::DensityBatchRequest request;
+    request.model = "est";
+    request.points = MakePoints(static_cast<uint64_t>(100 + b), 150);
+    requests.push_back(std::move(request));
+  }
+
+  serve::Client sequential = ConnectOrDie();
+  serve::Client pipelined = ConnectOrDie();
+  std::vector<serve::DensityBatchResponse> expected;
+  for (const auto& request : requests) {
+    auto response = sequential.Density(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    expected.push_back(std::move(response).value());
+  }
+  auto actual = pipelined.DensityPipelined(requests, /*window=*/4);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  ASSERT_EQ(actual->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*actual)[i].densities, expected[i].densities)
+        << "batch " << i << " diverges under pipelining";
+  }
+}
+
+// An error in the middle of a pipelined stream surfaces as the first error
+// in request order, and the connection keeps serving afterwards.
+TEST_F(ServeE2eTest, PipelinedErrorSurfacesInRequestOrder) {
+  serve::Client setup = ConnectOrDie();
+  ASSERT_TRUE(setup.RegisterModel("est", model_path_).ok());
+
+  std::vector<serve::DensityBatchRequest> requests;
+  for (int b = 0; b < 4; ++b) {
+    serve::DensityBatchRequest request;
+    request.model = b == 1 ? "nonesuch" : "est";
+    request.points = MakePoints(static_cast<uint64_t>(b), 50);
+    requests.push_back(std::move(request));
+  }
+  serve::Client client = ConnectOrDie();
+  auto responses = client.DensityPipelined(requests, /*window=*/4);
+  ASSERT_FALSE(responses.ok());
+  EXPECT_EQ(responses.status().code(), StatusCode::kNotFound);
+  serve::DensityBatchRequest request;
+  request.model = "est";
+  request.points = MakePoints(77, 50);
+  auto after = client.Density(request);
+  EXPECT_TRUE(after.ok()) << after.status().ToString();
 }
 
 TEST_F(ServeE2eTest, RemoteShutdownUnblocksWaitForShutdown) {

@@ -4,6 +4,8 @@
 // message or rejected with an error Status — never a crash, hang or
 // unbounded allocation.
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,10 +187,13 @@ TEST(ServeWireTest, FrameRoundTripAndHeaderValidation) {
   bad = frame;
   bad[4] ^= 0xff;
   EXPECT_FALSE(DecodeFrame(bad.data(), bad.size(), &consumed).ok());
-  // Unknown type.
-  bad = frame;
-  bad[8] = 0xfe;
-  EXPECT_FALSE(DecodeFrame(bad.data(), bad.size(), &consumed).ok());
+  // Unknown types: one outside every range, and 9, which is retired.
+  for (uint32_t type : {0xfeu, 9u}) {
+    bad = frame;
+    std::memcpy(bad.data() + 8, &type, sizeof(type));
+    EXPECT_FALSE(DecodeFrame(bad.data(), bad.size(), &consumed).ok())
+        << "type=" << type;
+  }
   // Truncations at every prefix length.
   for (size_t keep = 0; keep < frame.size(); ++keep) {
     EXPECT_FALSE(DecodeFrame(frame.data(), keep, &consumed).ok())

@@ -18,14 +18,13 @@
 
 #include "data/dataset_io.h"
 #include "data/point_set.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "dbs_shard_smoke_" + name;
-}
+using test::TempPath;
 
 void WriteInput(const std::string& path, int64_t n, int dim,
                 uint64_t seed) {

@@ -10,11 +10,9 @@
 //   dbs_query op=evict    name=est
 //   dbs_query op=shutdown
 //
-// Every op also takes [transport=tcp|shm] [pipeline=N]. transport=shm
-// attaches a shared-memory ring pair to a colocated daemon (falling back
-// to TCP, with a note on stderr, when the daemon declines); answers are
-// bitwise identical either way. pipeline=N splits op=density input into N
-// chunks kept in flight concurrently on the one connection.
+// Every op also takes [host=127.0.0.1] [pipeline=N]. pipeline=N splits
+// op=density input into N chunks kept in flight concurrently on the one
+// connection; the answers are bitwise identical to pipeline=1.
 //
 // The client fits nothing and never reads the model: it ships points to
 // the daemon and prints/persists what comes back.
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   int64_t port = flags.GetInt("port", 7070);
   std::string host = flags.GetString("host", "127.0.0.1");
-  std::string transport = flags.GetString("transport", "tcp");
   int64_t pipeline = flags.GetInt("pipeline", 1);
   if (!flags.AllKnown()) return 2;
   if (op.empty()) {
@@ -81,11 +78,7 @@ int main(int argc, char** argv) {
                  "usage: dbs_query op=register|evict|density|sample|"
                  "outliers|stats|shutdown [name=] [model=] [in=] [out=] "
                  "[a=] [size=] [seed=] [floor=] [k=] [p=] [metric=] "
-                 "[port=] [host=] [transport=tcp|shm] [pipeline=N]\n");
-    return 2;
-  }
-  if (transport != "tcp" && transport != "shm") {
-    std::fprintf(stderr, "transport must be tcp or shm\n");
+                 "[port=] [host=] [pipeline=N]\n");
     return 2;
   }
   if (pipeline < 1) {
@@ -93,19 +86,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  dbs::serve::ClientOptions client_opts;
-  client_opts.host = host;
-  client_opts.transport = transport == "shm"
-                              ? dbs::serve::TransportKind::kShm
-                              : dbs::serve::TransportKind::kTcp;
-  auto client = dbs::serve::Client::Connect(static_cast<uint16_t>(port),
-                                            client_opts);
+  auto client = dbs::serve::Client::Connect(static_cast<uint16_t>(port), host);
   if (!client.ok()) return Fail(client.status(), "connect");
-  if (client_opts.transport == dbs::serve::TransportKind::kShm &&
-      client->transport() == dbs::serve::TransportKind::kTcp) {
-    std::fprintf(stderr, "note: shm unavailable, using tcp (%s)\n",
-                 client->shm_status().ToString().c_str());
-  }
 
   if (op == "register") {
     dbs::Status status = client->RegisterModel(name, model);

@@ -1,7 +1,6 @@
 // dbsd — the model-serving daemon.
 //
-//   dbsd [port=7070] [workers=4] [queue=256] [transport=shm|tcp]
-//        [backend=grid|dualtree] [rel_error=0] [model=name:est.dbsk]...
+//   dbsd [port=7070] [workers=4] [queue=256] [model=name:est.dbsk]...
 //
 // Serves the dbs wire protocol on loopback TCP: clients register saved
 // .dbsk estimators by name and then issue density-batch, biased-sample and
@@ -10,25 +9,15 @@
 // scripts can parse it. The daemon runs until a client sends a shutdown
 // request (dbs_query op=shutdown).
 //
-// transport=shm (the default) additionally accepts shared-memory ring
-// upgrades from colocated clients (dbs_query transport=shm); transport=tcp
-// declines them, forcing every client onto plain TCP.
-//
 // `model=` flags preload models at startup; repeatable as model, model2,
 // model3, ... since the flag parser keeps one value per key.
-//
-// backend=dualtree serves preloaded models through the dual-tree evaluator
-// (density/dual_tree_kde.h) instead of the flat grid index — identical
-// responses when rel_error=0 (the default), certified-approximate within
-// the given relative error budget otherwise. rel_error requires
-// backend=dualtree.
 
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -40,9 +29,6 @@ int main(int argc, char** argv) {
   int64_t port = flags.GetInt("port", 7070);
   int64_t workers = flags.GetInt("workers", 4);
   int64_t queue = flags.GetInt("queue", 256);
-  std::string transport = flags.GetString("transport", "shm");
-  std::string backend = flags.GetString("backend", "grid");
-  double rel_error = flags.GetDouble("rel_error", 0.0);
 
   // Preload flags: model=, model2=, model3=, ... each "name:path".
   std::vector<std::pair<std::string, std::string>> preload;
@@ -64,55 +50,35 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "port must be in [0, 65535]\n");
     return 2;
   }
-  if (transport != "shm" && transport != "tcp") {
-    std::fprintf(stderr, "transport must be shm or tcp\n");
-    return 2;
-  }
-  if (backend != "grid" && backend != "dualtree") {
-    std::fprintf(stderr, "backend must be grid or dualtree\n");
-    return 2;
-  }
-  if (rel_error != 0.0 && backend != "dualtree") {
-    std::fprintf(stderr, "rel_error requires backend=dualtree\n");
-    return 2;
-  }
 
   dbs::serve::ModelRegistry registry;
   for (const auto& [name, path] : preload) {
-    dbs::Status status =
-        backend == "dualtree"
-            ? registry.LoadKdeFileDualTree(name, path, rel_error)
-            : registry.LoadKdeFile(name, path);
+    dbs::Status status = registry.LoadKdeFile(name, path);
     if (!status.ok()) {
       std::fprintf(stderr, "preload of '%s' failed: %s\n", name.c_str(),
                    status.ToString().c_str());
       return 1;
     }
-    std::printf("model: %s <- %s (%s)\n", name.c_str(), path.c_str(),
-                backend.c_str());
+    std::printf("model: %s <- %s\n", name.c_str(), path.c_str());
   }
 
-  dbs::serve::BatchExecutorOptions executor_opts;
+  dbs::parallel::BatchExecutorOptions executor_opts;
   executor_opts.num_workers = static_cast<int>(workers);
   executor_opts.queue_capacity = queue;
-  dbs::serve::BatchExecutor executor(executor_opts);
+  dbs::parallel::BatchExecutor executor(executor_opts);
   dbs::serve::ModelService service(&registry, &executor);
 
   dbs::serve::ServerOptions server_opts;
   server_opts.port = static_cast<uint16_t>(port);
-  server_opts.enable_shm = transport == "shm";
   auto server = dbs::serve::Server::Start(&service, server_opts);
   if (!server.ok()) {
     std::fprintf(stderr, "start failed: %s\n",
                  server.status().ToString().c_str());
     return 1;
   }
-  std::printf(
-      "dbsd: listening on 127.0.0.1:%u (%d workers, queue %lld, "
-      "transport %s)\n",
-      (*server)->port(), executor.num_workers(),
-      static_cast<long long>(queue),
-      server_opts.enable_shm ? "tcp+shm" : "tcp");
+  std::printf("dbsd: listening on 127.0.0.1:%u (%d workers, queue %lld)\n",
+              (*server)->port(), executor.num_workers(),
+              static_cast<long long>(queue));
   std::fflush(stdout);
 
   (*server)->WaitForShutdown();

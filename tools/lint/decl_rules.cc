@@ -497,13 +497,12 @@ std::vector<Finding> CheckDeclRules(const std::string& path,
 
     // clock-now: wall-clock reads outside bench/ and the audited timers.
     if ((in_src || StartsWith(path, "tools/")) &&
-        path != "src/eval/experiment.h" && path != "src/serve/shm_transport.cc") {
+        path != "src/eval/experiment.h") {
       if (EndsWith(t.text, "_clock") && k + 2 < m &&
           IsPunct(view[k + 1], "::") && IsIdent(view[k + 2], "now")) {
         add("clock-now", t.line,
             "wall-clock reads outside bench/ and the audited timing code "
-            "(eval/experiment.h Timer, shm_transport deadlines) make runs "
-            "time-dependent");
+            "(eval/experiment.h Timer) make runs time-dependent");
       }
       if (t.text == "clock" && k + 1 < m && IsPunct(view[k + 1], "(") &&
           !(k >= 1 && (IsPunct(view[k - 1], "::") || IsPunct(view[k - 1], ".") ||
@@ -514,17 +513,14 @@ std::vector<Finding> CheckDeclRules(const std::string& path,
       }
     }
 
-    // relaxed-atomic: relaxed ordering only in the audited lock-free files.
-    if ((t.text == "memory_order_relaxed" ||
-         (t.text == "relaxed" && k >= 2 && IsPunct(view[k - 1], "::") &&
-          IsIdent(view[k - 2], "memory_order"))) &&
-        path != "src/serve/shm_ring.h" &&
-        path != "src/serve/shm_transport.cc") {
+    // relaxed-atomic: relaxed ordering needs a written argument per use.
+    if (t.text == "memory_order_relaxed" ||
+        (t.text == "relaxed" && k >= 2 && IsPunct(view[k - 1], "::") &&
+         IsIdent(view[k - 2], "memory_order"))) {
       add("relaxed-atomic", t.line,
-          "memory_order_relaxed outside the audited lock-free files "
-          "(shm_ring.h, shm_transport.cc); relaxed ordering needs a "
-          "written happens-before argument — add the file to the audited "
-          "list only with one");
+          "memory_order_relaxed needs a written happens-before argument; "
+          "use the default seq_cst ordering, or allow-annotate this use "
+          "with the argument");
     }
 
     // detached-thread: every thread in this codebase joins.

@@ -28,11 +28,11 @@
 //   clock-now          `..._clock::now()` / `clock()` outside bench/ and
 //                      the audited timing files; wall-clock reads feed
 //                      timeouts and timings only, never results.
-//   relaxed-atomic     std::memory_order_relaxed outside the audited
-//                      lock-free files (shm_ring.h and its transport).
-//                      Relaxed ordering is correct there because the
-//                      ring's acquire/release pairs carry the data; a
-//                      new relaxed load elsewhere needs the same audit.
+//   relaxed-atomic     std::memory_order_relaxed anywhere. Relaxed
+//                      ordering is correct only with a written
+//                      happens-before argument, which each use carries in
+//                      its allow marker (a pure counter read after join,
+//                      a stop flag that publishes no data).
 //   detached-thread    std::thread::detach() — a detached thread
 //                      outlives scope tracking, sanitizers and shutdown
 //                      ordering; every thread in this codebase joins.

@@ -240,18 +240,15 @@ void CheckRawAlloc(RuleContext& ctx) {
 // --- unordered-container ----------------------------------------------------
 
 void CheckUnorderedContainer(RuleContext& ctx) {
-  // The shm transport files join the scope: their frame paths feed the
-  // bitwise transport-equivalence contract, so no hash-order iteration
-  // there either. (The rest of src/serve/ stays exempt — the model
-  // registry legitimately keys models by hash.) src/outlier/ is in scope
-  // because the exact detectors promise byte-identical reports across
-  // algorithms and worker counts — the cell-list grid in particular must
-  // keep cells and residents in deterministic order.
+  // src/serve/ stays exempt — the model registry legitimately keys models
+  // by hash. src/outlier/ is in scope because the exact detectors promise
+  // byte-identical reports across algorithms and worker counts — the
+  // cell-list grid in particular must keep cells and residents in
+  // deterministic order.
   if (!StartsWith(ctx.path, "src/density/") &&
       !StartsWith(ctx.path, "src/core/") &&
       !StartsWith(ctx.path, "src/shard/") &&
-      !StartsWith(ctx.path, "src/outlier/") &&
-      !StartsWith(ctx.path, "src/serve/shm_")) {
+      !StartsWith(ctx.path, "src/outlier/")) {
     return;
   }
   for (size_t i = 0; i < ctx.lines.size(); ++i) {
@@ -281,6 +278,52 @@ void CheckServeThrow(RuleContext& ctx) {
       ctx.Add("serve-throw", line,
               "the serving stack's error contract is Status codes on the "
               "wire; exceptions cannot cross it");
+    }
+  }
+}
+
+// --- shared-temp-path -------------------------------------------------------
+
+// Index of the first non-space character at or after `pos`, or npos.
+size_t SkipSpace(const std::string& s, size_t pos) {
+  while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
+    ++pos;
+  }
+  return pos < s.size() ? pos : std::string::npos;
+}
+
+void CheckSharedTempPath(RuleContext& ctx) {
+  if (!StartsWith(ctx.path, "tests/")) return;
+  const std::string call = "TempDir";
+  for (size_t i = 0; i < ctx.lines.size(); ++i) {
+    const std::string& code = ctx.lines[i].code;
+    for (size_t pos : FindToken(code, call)) {
+      // `TempDir()`, any closing parens of a wrapping call such as
+      // std::string(...), then `+` and a string literal, possibly on the
+      // next line.
+      size_t k = SkipSpace(code, pos + call.size());
+      if (k == std::string::npos || code[k] != '(') continue;
+      k = SkipSpace(code, k + 1);
+      if (k == std::string::npos || code[k] != ')') continue;
+      k = SkipSpace(code, k + 1);
+      while (k != std::string::npos && code[k] == ')') {
+        k = SkipSpace(code, k + 1);
+      }
+      if (k == std::string::npos || code[k] != '+') continue;
+      k = SkipSpace(code, k + 1);
+      char next = '\0';
+      if (k != std::string::npos) {
+        next = code[k];
+      } else if (i + 1 < ctx.lines.size()) {
+        next = NextNonSpace(ctx.lines[i + 1].code, 0);
+      }
+      if (next == '"') {
+        ctx.Add("shared-temp-path", static_cast<int>(i) + 1,
+                "a fixed name under TempDir() is shared by every test "
+                "process ctest -j runs at once; use test::TempPath from "
+                "tests/test_temp.h");
+        break;
+      }
     }
   }
 }
@@ -440,6 +483,7 @@ std::vector<Finding> LintSource(const std::string& path,
   CheckRawAlloc(ctx);
   CheckUnorderedContainer(ctx);
   CheckServeThrow(ctx);
+  CheckSharedTempPath(ctx);
   CheckHeaderRules(ctx);
 
   std::vector<Finding> kept = ApplyAllowMarkers(lines, findings);
@@ -593,12 +637,17 @@ constexpr RuleDoc kRuleDocs[] = {
     {"unordered-container",
      "Hash-order iteration is what broke bitwise reproducibility before "
      "the flat sorted KDE table. std::unordered_* stays out of "
-     "src/density, src/core, src/shard, src/outlier and the shm "
-     "transport files, whose merge/frame/report paths must be "
-     "order-invariant."},
+     "src/density, src/core, src/shard and src/outlier, whose "
+     "merge/report paths must be order-invariant."},
     {"serve-throw",
      "The serving stack's error contract is Status codes on the wire; "
-     "an exception cannot cross a socket or an shm ring."},
+     "an exception cannot cross a socket."},
+    {"shared-temp-path",
+     "In tests/, `TempDir() + \"literal\"` names one file for every test "
+     "process. gtest_discover_tests makes each TEST its own process and "
+     "ctest -j runs them at once, so they overwrite each other's files. "
+     "tests/test_temp.h's test::TempPath gives each process its own "
+     "mkdtemp directory."},
     {"header-guard",
      "Every header opens with #ifndef or #pragma once."},
     {"using-namespace-header",
@@ -622,13 +671,13 @@ constexpr RuleDoc kRuleDocs[] = {
      "contract forbids."},
     {"clock-now",
      "Wall-clock reads (std::chrono::*_clock::now, clock()) outside "
-     "bench/ and the audited timing code (eval/experiment.h Timer, "
-     "shm_transport deadlines) make library behavior time-dependent."},
+     "bench/ and the audited timing code (eval/experiment.h Timer) make "
+     "library behavior time-dependent."},
     {"relaxed-atomic",
      "memory_order_relaxed is correct only where a written "
-     "happens-before argument exists; shm_ring.h and shm_transport.cc "
-     "carry that audit (DESIGN.md §13). Anywhere else, start from "
-     "seq_cst and argue down."},
+     "happens-before argument exists. No file is exempt: start from "
+     "seq_cst and argue down, and put the argument in the allow "
+     "marker of each relaxed use."},
     {"detached-thread",
      "Detached threads outlive shutdown ordering and escape TSan's "
      "leak-at-exit checks; every thread in this codebase is owned and "

@@ -19,14 +19,18 @@
 //                      (`= delete` declarations are not allocations and
 //                      are ignored.)
 //   unordered-container no std::unordered_map / std::unordered_set in
-//                      src/density/, src/core/, src/shard/ and the
-//                      src/serve/shm_* transport files — hash-order
-//                      iteration is what broke bitwise reproducibility
-//                      before the flat sorted table; keep it out of the
-//                      numeric core and the shard merge/fan-out paths,
-//                      whose tree-reduce must be invariant to merge order.
+//                      src/density/, src/core/, src/shard/ and
+//                      src/outlier/ — hash-order iteration is what broke
+//                      bitwise reproducibility before the flat sorted
+//                      table; keep it out of the numeric core and the
+//                      shard merge/fan-out paths, whose tree-reduce must
+//                      be invariant to merge order.
 //   serve-throw        no `throw` in src/serve/ — the serving stack's
 //                      error contract is Status codes on the wire.
+//   shared-temp-path   no `TempDir() + "literal"` in tests/ — ctest -j
+//                      runs every TEST as its own concurrent process, so
+//                      a fixed temp name is shared between them; use
+//                      test::TempPath (tests/test_temp.h).
 //   header-guard       every header opens with #ifndef or #pragma once.
 //   using-namespace-header  no `using namespace` at header scope.
 //
