@@ -10,10 +10,11 @@
 // output, so any mismatch is a correctness bug and the bench exits nonzero.
 //
 // Output: a table on stdout plus machine-readable JSON in the shape of
-// BENCH_micro_kde.json (BENCH_micro_cluster.json, override with out=).
+// BENCH_micro_kde.json (BENCH_micro_cluster.json, override with out=),
+// stamped with nproc, compiler, build type and the git_sha= passed in.
 //
 //   micro_cluster [sizes=500,2000,8000] [dims=2,5] [reps=2]
-//                 [out=BENCH_micro_cluster.json]
+//                 [git_sha=unavailable] [out=BENCH_micro_cluster.json]
 
 #include <chrono>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_meta.h"
 #include "cluster/hierarchical.h"
 #include "data/point_set.h"
 #include "tools/flags.h"
@@ -142,17 +144,16 @@ void PrintRow(const SeriesResult& r) {
               static_cast<long long>(r.mismatches));
 }
 
-void WriteJson(const std::string& path, int reps,
+void WriteJson(const std::string& path, const std::string& git_sha, int reps,
                const std::vector<SeriesResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"micro_cluster\",\n"
-               "  \"reps\": %d,\n  \"results\": [\n",
-               reps);
+  std::fprintf(f, "{\n  \"bench\": \"micro_cluster\",\n");
+  dbs::bench::WriteBenchMeta(f, git_sha);
+  std::fprintf(f, "  \"reps\": %d,\n  \"results\": [\n", reps);
   for (size_t i = 0; i < results.size(); ++i) {
     const SeriesResult& r = results[i];
     std::fprintf(f,
@@ -178,6 +179,7 @@ int main(int argc, char** argv) {
   std::string sizes_spec = flags.GetString("sizes", "500,2000,8000");
   std::string dims_spec = flags.GetString("dims", "2,5");
   int reps = static_cast<int>(flags.GetInt("reps", 2));
+  std::string git_sha = flags.GetString("git_sha", "unavailable");
   std::string out = flags.GetString("out", "BENCH_micro_cluster.json");
   if (!flags.AllKnown()) return 2;
   DBS_CHECK(reps > 0);
@@ -244,6 +246,6 @@ int main(int argc, char** argv) {
                  "FAIL: %lld accelerated results differ from reference\n",
                  static_cast<long long>(total_mismatches));
   }
-  if (!out.empty()) WriteJson(out, reps, results);
+  if (!out.empty()) WriteJson(out, git_sha, reps, results);
   return total_mismatches > 0 ? 1 : 0;
 }

@@ -27,7 +27,10 @@
 //                     [qmc_samples=64] [reps=3] [threads=4]
 //   outlier_detection mode=exact [points=20000] [dims=2,3,5]
 //                     [workers=0,1,4] [algos=kd,cell,nested] [reps=3]
-//                     [out=BENCH_outlier_exact.json]
+//                     [git_sha=unavailable] [out=BENCH_outlier_exact.json]
+//
+// mode=exact's JSON is stamped with nproc, compiler, build type and the
+// git_sha= passed in.
 
 #include <chrono>
 #include <cstdio>
@@ -35,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_meta.h"
 #include "density/kde.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
@@ -266,15 +270,17 @@ struct ExactSeries {
   dbs::outlier::CellListStats stats;  // zero for kd/nested rows
 };
 
-void WriteExactJson(const std::string& path, int64_t points, int reps,
+void WriteExactJson(const std::string& path, const std::string& git_sha,
+                    int64_t points, int reps,
                     const std::vector<ExactSeries>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
+  std::fprintf(f, "{\n  \"bench\": \"outlier_exact\",\n");
+  dbs::bench::WriteBenchMeta(f, git_sha);
   std::fprintf(f,
-               "{\n  \"bench\": \"outlier_exact\",\n"
                "  \"points\": %lld,\n  \"reps\": %d,\n"
                "  \"results\": [\n",
                static_cast<long long>(points), reps);
@@ -309,7 +315,7 @@ void WriteExactJson(const std::string& path, int64_t points, int reps,
 int RunExactMode(int64_t points, const std::vector<int>& dims,
                  const std::vector<int>& worker_counts,
                  const std::vector<std::string>& algos, int reps,
-                 const std::string& out) {
+                 const std::string& git_sha, const std::string& out) {
   dbs::outlier::DbOutlierParams params;
   params.radius = 0.05;
   params.max_neighbors = 5;
@@ -387,7 +393,7 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
       }
     }
   }
-  if (!out.empty()) WriteExactJson(out, points, reps, results);
+  if (!out.empty()) WriteExactJson(out, git_sha, points, reps, results);
   if (total_bad > 0) {
     std::fprintf(stderr,
                  "FAIL: %lld report fields differ from the sequential "
@@ -412,6 +418,7 @@ int main(int argc, char** argv) {
   const std::string dims_spec = flags.GetString("dims", "2,3,5");
   const std::string workers_spec = flags.GetString("workers", "0,1,4");
   const std::string algos_spec = flags.GetString("algos", "kd,cell,nested");
+  const std::string git_sha = flags.GetString("git_sha", "unavailable");
   const std::string out =
       flags.GetString("out", "BENCH_outlier_exact.json");
   if (!flags.AllKnown()) return 2;
@@ -434,7 +441,8 @@ int main(int argc, char** argv) {
     }
     // The default points=40000 is sized for mode=paper; mode=exact runs the
     // quadratic nested loop too, so its acceptance sweep uses points=20000.
-    return RunExactMode(batch_points, dims, worker_counts, algos, reps, out);
+    return RunExactMode(batch_points, dims, worker_counts, algos, reps,
+                        git_sha, out);
   }
   if (mode != "paper") {
     std::fprintf(stderr, "unknown mode '%s' (expected paper|batch|exact)\n",

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_meta.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "serve/client.h"
@@ -188,16 +189,13 @@ void WriteJson(const std::string& path, const std::string& git_sha,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
+  std::fprintf(f, "{\n  \"bench\": \"serve_throughput\",\n");
+  dbs::bench::WriteBenchMeta(f, git_sha);
   std::fprintf(f,
-               "{\n  \"bench\": \"serve_throughput\",\n"
-               "  \"meta\": {\"nproc\": %u, \"compiler\": \"%s\", "
-               "\"build_type\": \"%s\", \"git_sha\": \"%s\"},\n"
                "  \"batches_per_client\": %d,\n"
                "  \"points_per_batch\": %lld,\n  \"kernels\": %lld,\n"
                "  \"results\": [\n",
-               std::thread::hardware_concurrency(), DBS_BENCH_COMPILER,
-               DBS_BENCH_BUILD_TYPE, git_sha.c_str(), batches,
-               static_cast<long long>(points),
+               batches, static_cast<long long>(points),
                static_cast<long long>(kernels));
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];

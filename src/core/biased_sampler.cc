@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -17,12 +18,15 @@ double BiasedSampler::FlooredDensityPow(double f, double floor) const {
   return SafePow(std::max(f, floor), options_.a);
 }
 
+double BiasedSampler::UnclampedProbability(double fa, double k_a) const {
+  return static_cast<double>(options_.target_size) / k_a * fa;
+}
+
 double BiasedSampler::InclusionProbability(double density,
                                            double normalizer) const {
   if (normalizer <= 0) return 0.0;
-  double fa = SafePow(density, options_.a);
-  return std::min(1.0, static_cast<double>(options_.target_size) /
-                           normalizer * fa);
+  return std::min(1.0, UnclampedProbability(SafePow(density, options_.a),
+                                            normalizer));
 }
 
 Result<BiasedSample> BiasedSampler::Run(
@@ -35,11 +39,11 @@ Result<BiasedSample> BiasedSampler::Run(
   info.total_rows = scan.size();
   DBS_ASSIGN_OR_RETURN(PartialNormalizer partial,
                        NormalizerPartial(scan, estimator, info));
-  DBS_ASSIGN_OR_RETURN(double k_a, FinalizeNormalizer(partial));
-  if (k_a <= 0) {
+  DBS_ASSIGN_OR_RETURN(Normalizer normalizer, FinalizeNormalizer(partial));
+  if (normalizer.k_a <= 0) {
     return Status::Internal("normalizer k_a is not positive");
   }
-  return SampleWithNormalizer(scan, estimator, k_a);
+  return SampleWithNormalizer(scan, estimator, normalizer);
 }
 
 Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
@@ -63,9 +67,10 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
   }
 
   // Shard slice of pass 1: k_a contribution = sum of f'(x) over the shard's
-  // rows. Densities are computed batch-at-a-time (sharded when an executor
-  // is configured); the accumulation stays one sequential sweep in scan
-  // order, so each part is bitwise independent of the worker count.
+  // rows, plus their extremes. Densities are computed batch-at-a-time
+  // (sharded when an executor is configured); the accumulation stays one
+  // sequential sweep in scan order, so each part is bitwise independent of
+  // the worker count.
   NormalizerShardPart part;
   part.shard = info.shard;
   part.num_shards = info.num_shards;
@@ -80,7 +85,11 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
     DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
         batch.rows, batch.count, densities.data(), options_.executor));
     for (int64_t i = 0; i < batch.count; ++i) {
-      part.k_a += FlooredDensityPow(densities[static_cast<size_t>(i)], floor);
+      const double fa =
+          FlooredDensityPow(densities[static_cast<size_t>(i)], floor);
+      part.k_a += fa;
+      part.min_fa = std::min(part.min_fa, fa);
+      part.max_fa = std::max(part.max_fa, fa);
     }
     part.rows += batch.count;
   }
@@ -90,7 +99,7 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
   return partial;
 }
 
-Result<double> BiasedSampler::FinalizeNormalizer(
+Result<Normalizer> BiasedSampler::FinalizeNormalizer(
     const PartialNormalizer& partial) const {
   if (partial.parts.empty()) {
     return Status::InvalidArgument("partial normalizer state has no shards");
@@ -100,16 +109,21 @@ Result<double> BiasedSampler::FinalizeNormalizer(
     return Status::InvalidArgument(
         "partial normalizer state is incomplete: not every shard is present");
   }
-  double k_a = 0.0;
+  Normalizer normalizer;
+  normalizer.min_fa = std::numeric_limits<double>::infinity();
+  normalizer.max_fa = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < partial.parts.size(); ++i) {
-    if (partial.parts[i].shard != static_cast<int64_t>(i)) {
+    const NormalizerShardPart& part = partial.parts[i];
+    if (part.shard != static_cast<int64_t>(i)) {
       return Status::InvalidArgument(
           "partial normalizer state is incomplete: not every shard is "
           "present");
     }
-    k_a += partial.parts[i].k_a;
+    normalizer.k_a += part.k_a;
+    normalizer.min_fa = std::min(normalizer.min_fa, part.min_fa);
+    normalizer.max_fa = std::max(normalizer.max_fa, part.max_fa);
   }
-  return k_a;
+  return normalizer;
 }
 
 [[nodiscard]] Result<PartialNormalizer> MergePartialNormalizers(PartialNormalizer a,
@@ -151,12 +165,13 @@ Result<BiasedSample> BiasedSampler::RunOnePass(data::DataScan& scan,
   // Kernel centers are a uniform sample of the data, so the sample mean of
   // f^a over them estimates E_D[f^a] and k_a ~= n * E_D[f^a]. No dataset
   // pass is spent on normalization.
-  double k_a = static_cast<double>(n) *
-               kde.MeanDensityPow(options_.a, options_.executor);
-  if (k_a <= 0) {
+  Normalizer normalizer;
+  normalizer.k_a = static_cast<double>(n) *
+                   kde.MeanDensityPow(options_.a, options_.executor);
+  if (normalizer.k_a <= 0) {
     return Status::Internal("estimated normalizer k_a is not positive");
   }
-  return SampleWithNormalizer(scan, kde, k_a);
+  return SampleWithNormalizer(scan, kde, normalizer);
 }
 
 Result<BiasedSample> BiasedSampler::RunOnePass(const data::PointSet& points,
@@ -167,17 +182,17 @@ Result<BiasedSample> BiasedSampler::RunOnePass(const data::PointSet& points,
 
 Result<BiasedSample> BiasedSampler::SampleWithNormalizer(
     data::DataScan& scan, const density::DensityEstimator& estimator,
-    double normalizer) const {
+    const Normalizer& normalizer) const {
   ShardInfo info;
   info.total_rows = scan.size();
   DBS_ASSIGN_OR_RETURN(PartialSample partial,
                        SamplePartial(scan, estimator, normalizer, info));
-  return FinalizeSample(std::move(partial), normalizer);
+  return FinalizeSample(std::move(partial), normalizer.k_a);
 }
 
 Result<PartialSample> BiasedSampler::SamplePartial(
     data::DataScan& scan, const density::DensityEstimator& estimator,
-    double normalizer, const ShardInfo& info) const {
+    const Normalizer& normalizer, const ShardInfo& info) const {
   if (scan.dim() != estimator.dim()) {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
@@ -190,7 +205,7 @@ Result<PartialSample> BiasedSampler::SamplePartial(
         "scan does not cover the shard's row range");
   }
   const int dim = scan.dim();
-  const double b = static_cast<double>(options_.target_size);
+  const double k_a = normalizer.k_a;
   const double floor =
       options_.density_floor_fraction * estimator.AverageDensity();
 
@@ -205,33 +220,76 @@ Result<PartialSample> BiasedSampler::SamplePartial(
           ? options_.target_size * range.size() / info.total_rows
           : options_.target_size;
   part.points.Reserve(expected + expected / 4 + 16);
+  auto accept = [&part](data::PointView x, double p, double f) {
+    part.points.Append(x);
+    part.inclusion_probs.push_back(p);
+    part.densities.push_back(f);
+  };
 
-  // Densities for the whole scan batch first (parallel, pure per-point
-  // arithmetic), then one sequential RNG sweep over the precomputed values
-  // — the draw stream never depends on how the densities were computed, so
+  // The certificate. Every row's f' lies in [min_fa, max_fa], and p rounds
+  // monotonically in f', so every row's p lies in [p_lo, p_hi]. When
+  // 0 < p_lo and p_hi < 1, no row clamps and NextBernoulli draws exactly
+  // once per row, in row order — so the pass may draw first: a row whose
+  // draw u >= p_hi rejects whatever its density, and only the others are
+  // evaluated. The comparisons fail on NaN, so a NaN or infinite k_a takes
+  // the full loop.
+  const double p_lo = UnclampedProbability(normalizer.min_fa, k_a);
+  const double p_hi = UnclampedProbability(normalizer.max_fa, k_a);
+  const bool certified = p_lo > 0.0 && p_hi < 1.0;
+
+  // Either way the draw stream never depends on how the densities were
+  // computed (batched, sharded over workers, or for a gathered subset), so
   // the sample is bitwise reproducible across worker counts. Each shard
   // draws from its own ShardSeed stream (shard 0 = the legacy stream).
   Rng rng(ShardSeed(options_.seed, info.shard));
   std::vector<double> densities;
+  // Certified pass only: the current batch's rows with u < p_hi.
+  std::vector<double> gathered_rows;
+  std::vector<double> gathered_draws;
+  std::vector<int64_t> gathered_index;
   scan.Reset();
   data::ScanBatch batch;
   while (scan.NextBatch(&batch)) {
-    densities.resize(static_cast<size_t>(batch.count));
-    DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
-        batch.rows, batch.count, densities.data(), options_.executor));
-    for (int64_t i = 0; i < batch.count; ++i) {
-      data::PointView x = batch.point(i, dim);
-      double f = densities[static_cast<size_t>(i)];
-      double fa = FlooredDensityPow(f, floor);
-      double p = b / normalizer * fa;
-      if (p >= 1.0) {
-        p = 1.0;
-        ++part.clamped_count;
+    if (certified) {
+      gathered_rows.clear();
+      gathered_draws.clear();
+      gathered_index.clear();
+      for (int64_t i = 0; i < batch.count; ++i) {
+        const double u = rng.NextDouble();
+        if (u >= p_hi) continue;
+        const data::PointView x = batch.point(i, dim);
+        gathered_rows.insert(gathered_rows.end(), x.begin(), x.end());
+        gathered_draws.push_back(u);
+        gathered_index.push_back(i);
       }
-      if (rng.NextBernoulli(p)) {
-        part.points.Append(x);
-        part.inclusion_probs.push_back(p);
-        part.densities.push_back(f);
+      densities.resize(gathered_index.size());
+      DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
+          gathered_rows.data(), static_cast<int64_t>(gathered_index.size()),
+          densities.data(), options_.executor));
+      for (size_t j = 0; j < gathered_index.size(); ++j) {
+        const double f = densities[j];
+        const double p = UnclampedProbability(FlooredDensityPow(f, floor), k_a);
+        if (!(p >= p_lo && p <= p_hi)) {
+          return Status::Internal(
+              "sampling pass density outside the normalizer pass's range: "
+              "the estimator broke EvaluateBatch's per-row contract");
+        }
+        if (gathered_draws[j] < p) {
+          accept(batch.point(gathered_index[j], dim), p, f);
+        }
+      }
+    } else {
+      densities.resize(static_cast<size_t>(batch.count));
+      DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
+          batch.rows, batch.count, densities.data(), options_.executor));
+      for (int64_t i = 0; i < batch.count; ++i) {
+        const double f = densities[static_cast<size_t>(i)];
+        double p = UnclampedProbability(FlooredDensityPow(f, floor), k_a);
+        if (p >= 1.0) {
+          p = 1.0;
+          ++part.clamped_count;
+        }
+        if (rng.NextBernoulli(p)) accept(batch.point(i, dim), p, f);
       }
     }
     part.rows += batch.count;

@@ -22,7 +22,10 @@
 //
 // Two execution modes over a DataScan:
 //   Run       two passes — an exact normalization pass for k_a, then the
-//             sampling pass (this is the paper's Figure-1 algorithm).
+//             sampling pass (this is the paper's Figure-1 algorithm). The
+//             normalization pass also bounds every row's probability, so
+//             the sampling pass can evaluate density only for rows whose
+//             draw can still accept (DESIGN.md §7).
 //   RunOnePass one pass — k_a is estimated as n * E[f^a] from the KDE's
 //             kernel centers (which are themselves a uniform sample of D),
 //             the integrated variant sketched at the end of §2.2. The
@@ -42,6 +45,7 @@
 
 #include <cstdint>
 
+#include <limits>
 #include <vector>
 
 #include "core/sample.h"
@@ -54,13 +58,16 @@
 namespace dbs::core {
 
 // One shard's contribution to the exact normalization pass: the sequential
-// sum of f'(x) over the shard's rows, in scan order.
+// sum of f'(x) over the shard's rows, in scan order, and the smallest and
+// largest f'(x) among them (infinite only for a shard without rows).
 struct NormalizerShardPart {
   int64_t shard = 0;
   int64_t num_shards = 1;
   int64_t total_rows = 0;
   int64_t rows = 0;
   double k_a = 0.0;
+  double min_fa = std::numeric_limits<double>::infinity();
+  double max_fa = -std::numeric_limits<double>::infinity();
 };
 
 // Mergeable partial state of the sampler's k_a pass (DESIGN.md §12). Merging
@@ -88,6 +95,17 @@ struct SampleShardPart {
 // the complete set in ascending shard order.
 struct PartialSample {
   std::vector<SampleShardPart> parts;
+};
+
+// A finalized normalization pass: k_a and the extremes of f'(x) over every
+// row. Every row's inclusion probability lies between the probabilities of
+// the two extremes, which lets the sampling pass reject most rows from
+// their draw alone (DESIGN.md §7). The default extremes bound nothing, so a
+// normalizer that no pass measured (RunOnePass) samples with the full loop.
+struct Normalizer {
+  double k_a = 0.0;
+  double min_fa = 0.0;
+  double max_fa = std::numeric_limits<double>::infinity();
 };
 
 [[nodiscard]] Result<PartialNormalizer> MergePartialNormalizers(PartialNormalizer a,
@@ -145,12 +163,17 @@ class BiasedSampler {
   [[nodiscard]] Result<PartialNormalizer> NormalizerPartial(
       data::DataScan& scan, const density::DensityEstimator& estimator,
       const ShardInfo& info) const;
-  // Reduces a COMPLETE normalizer state to k_a (ascending shard order).
-  [[nodiscard]] Result<double> FinalizeNormalizer(const PartialNormalizer& partial) const;
+  // Reduces a COMPLETE normalizer state to k_a (ascending shard order) and
+  // the extremes of f'.
+  [[nodiscard]] Result<Normalizer> FinalizeNormalizer(
+      const PartialNormalizer& partial) const;
   // Sampling pass over one shard with the shard-seeded Bernoulli stream.
+  // When the normalizer's extremes put every row's probability strictly
+  // inside (0, 1), the pass draws first and evaluates only the rows whose
+  // draw can still accept; the sample is the same bytes either way.
   [[nodiscard]] Result<PartialSample> SamplePartial(
       data::DataScan& scan, const density::DensityEstimator& estimator,
-      double normalizer, const ShardInfo& info) const;
+      const Normalizer& normalizer, const ShardInfo& info) const;
   // Concatenates a COMPLETE sample state in ascending shard order.
   [[nodiscard]] Result<BiasedSample> FinalizeSample(PartialSample partial,
                                       double normalizer) const;
@@ -158,9 +181,13 @@ class BiasedSampler {
  private:
   [[nodiscard]] Result<BiasedSample> SampleWithNormalizer(
       data::DataScan& scan, const density::DensityEstimator& estimator,
-      double normalizer) const;
+      const Normalizer& normalizer) const;
 
   double FlooredDensityPow(double f, double floor) const;
+
+  // (b / k_a) · f' before clamping at 1: the one expression behind every
+  // row's probability and the sampling pass's bounds on them.
+  double UnclampedProbability(double fa, double k_a) const;
 
   BiasedSamplerOptions options_;
 };

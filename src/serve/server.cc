@@ -13,6 +13,7 @@
 
 #include "serve/dispatch.h"
 #include "serve/wire.h"
+#include "util/check.h"
 
 namespace dbs::serve {
 namespace {
@@ -74,13 +75,32 @@ void Server::AcceptLoop() {
     }
     int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      // Reap: take the threads whose handlers have returned. A handler
+      // reports itself only after its thread was stored here (it needs
+      // mu_), so every reported id is found.
+      for (std::thread::id id : finished_threads_) {
+        auto it = std::find_if(
+            connection_threads_.begin(), connection_threads_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        DBS_DCHECK(it != connection_threads_.end());
+        finished.push_back(std::move(*it));
+        *it = std::move(connection_threads_.back());
+        connection_threads_.pop_back();
+      }
+      finished_threads_.clear();
+      connection_fds_.push_back(fd);
+      connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Outside the lock: these handlers have returned, so each join waits
+    // only for its thread to exit.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -90,12 +110,15 @@ void Server::HandleConnection(int fd) {
     if (!frame.ok()) break;  // Peer closed, malformed framing or Stop().
     if (!ServeOne(fd, *frame)) break;
   }
-  // Unlink before closing so Stop never touches a recycled descriptor.
+  // Unlink before closing so Stop never touches a recycled descriptor, and
+  // report this thread as finished before closing, so a peer that sees the
+  // close knows the next accept will join it.
   {
     std::lock_guard<std::mutex> lock(mu_);
     connection_fds_.erase(
         std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
         connection_fds_.end());
+    finished_threads_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -146,6 +169,11 @@ void Server::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+}
+
+size_t Server::unjoined_connection_threads() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return connection_threads_.size();
 }
 
 }  // namespace dbs::serve

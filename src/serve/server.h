@@ -12,8 +12,11 @@
 // peer's delayed ACK (that pairing cost pipelined clients tens of ms p99).
 //
 // Lifecycle: Start binds 127.0.0.1 (port 0 picks an ephemeral port,
-// reported by port()); Stop() — also run by the destructor — closes the
-// listener and all connection sockets, then joins every thread. A client
+// reported by port()); each accept first joins the handler threads whose
+// connections have ended, so a long-lived daemon holds threads only for
+// its live connections (plus those that ended since the last accept);
+// Stop() — also run by the destructor — closes the listener and all
+// connection sockets, then joins every thread. A client
 // can end the daemon remotely with a shutdown frame; WaitForShutdown
 // blocks until that frame arrives (or Stop is called), which is how dbsd
 // sleeps.
@@ -22,6 +25,7 @@
 #define DBS_SERVE_SERVER_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -62,6 +66,10 @@ class Server {
   // Stops accepting, closes all connections, joins all threads. Idempotent.
   void Stop();
 
+  // Connection handler threads not yet joined: the live ones plus those
+  // that ended since the last accept. Exposed for tests.
+  size_t unjoined_connection_threads();
+
  private:
   Server(ModelService* service, int listen_fd, uint16_t port);
 
@@ -87,6 +95,8 @@ class Server {
   bool shutdown_requested_ = false;
   std::vector<int> connection_fds_;
   std::vector<std::thread> connection_threads_;
+  // Handlers that have returned, by thread id; the next accept joins them.
+  std::vector<std::thread::id> finished_threads_;
 };
 
 }  // namespace dbs::serve

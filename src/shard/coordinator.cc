@@ -161,16 +161,19 @@ Result<core::BiasedSample> ShardCoordinator::SampleTwoPass(
                    return core::MergePartialNormalizers(std::move(x),
                                                         std::move(y));
                  }));
-  DBS_ASSIGN_OR_RETURN(double k_a,
+  DBS_ASSIGN_OR_RETURN(core::Normalizer normalizer,
                        sampler.FinalizeNormalizer(norm_merged));
-  if (k_a <= 0) {
+  if (normalizer.k_a <= 0) {
     return Status::Internal("normalizer k_a is not positive");
   }
 
-  // Round 2: Bernoulli sampling against the global normalizer.
+  // Round 2: Bernoulli sampling against the global normalizer. The global
+  // extremes of f' bound every shard's rows, and each shard draws once per
+  // row from its own stream, so every shard may skip rows on the same
+  // certificate as the unsharded pass.
   ShardFn<core::PartialSample> draw =
       [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.SamplePartial(scan, estimator, k_a, info);
+        return sampler.SamplePartial(scan, estimator, normalizer, info);
       };
   DBS_ASSIGN_OR_RETURN(
       std::vector<core::PartialSample> sample_parts,
@@ -182,7 +185,7 @@ Result<core::BiasedSample> ShardCoordinator::SampleTwoPass(
                    return core::MergePartialSamples(std::move(x),
                                                     std::move(y));
                  }));
-  return sampler.FinalizeSample(std::move(sample_merged), k_a);
+  return sampler.FinalizeSample(std::move(sample_merged), normalizer.k_a);
 }
 
 Result<core::BiasedSample> ShardCoordinator::SampleOnePass(
@@ -202,16 +205,19 @@ Result<core::BiasedSample> ShardCoordinator::SampleOnePass(
 
   // k_a ~= n * E[f^a] from the kernel centers (no dataset pass). Evaluated
   // on the calling thread, where the coordinator's executor is safe to use;
-  // MeanDensityPow is bitwise identical with or without one.
-  const double k_a = static_cast<double>(total_rows) *
-                     kde.MeanDensityPow(options.a, options_.executor);
-  if (k_a <= 0) {
+  // MeanDensityPow is bitwise identical with or without one. No pass saw
+  // the rows, so the normalizer carries no extremes and every shard runs
+  // the full sampling loop.
+  core::Normalizer normalizer;
+  normalizer.k_a = static_cast<double>(total_rows) *
+                   kde.MeanDensityPow(options.a, options_.executor);
+  if (normalizer.k_a <= 0) {
     return Status::Internal("estimated normalizer k_a is not positive");
   }
 
   ShardFn<core::PartialSample> draw =
       [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.SamplePartial(scan, kde, k_a, info);
+        return sampler.SamplePartial(scan, kde, normalizer, info);
       };
   DBS_ASSIGN_OR_RETURN(
       std::vector<core::PartialSample> sample_parts,
@@ -223,7 +229,7 @@ Result<core::BiasedSample> ShardCoordinator::SampleOnePass(
                    return core::MergePartialSamples(std::move(x),
                                                     std::move(y));
                  }));
-  return sampler.FinalizeSample(std::move(sample_merged), k_a);
+  return sampler.FinalizeSample(std::move(sample_merged), normalizer.k_a);
 }
 
 Result<outlier::OutlierReport> ShardCoordinator::DetectOutliers(

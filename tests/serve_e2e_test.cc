@@ -7,6 +7,11 @@
 // calls on the same loaded model, under >= 4 concurrent clients, with a
 // clean shutdown. This test IS that acceptance check.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <string>
 #include <thread>
@@ -375,6 +380,37 @@ TEST_F(ServeE2eTest, RemoteShutdownUnblocksWaitForShutdown) {
 
   // After Stop, new connections are refused.
   EXPECT_FALSE(serve::Client::Connect(server_->port()).ok());
+}
+
+// Opens a connection, sends nothing and half-closes it, then blocks until
+// the server closes its end — by which point the connection's handler has
+// returned.
+void ConnectAndWaitForServerClose(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::shutdown(fd, SHUT_WR);
+  char byte = 0;
+  while (::read(fd, &byte, 1) > 0) {
+  }
+  ::close(fd);
+}
+
+TEST_F(ServeE2eTest, FinishedConnectionThreadsAreReaped) {
+  // Each accept joins the handlers that have returned, so sequential
+  // connections leave at most the last one's thread unjoined instead of
+  // one per connection ever accepted.
+  for (int i = 0; i < 64; ++i) ConnectAndWaitForServerClose(server_->port());
+  EXPECT_LE(server_->unjoined_connection_threads(), 1u);
+
+  // The server still serves.
+  serve::Client client = ConnectOrDie();
+  EXPECT_TRUE(client.Stats().ok());
 }
 
 }  // namespace
