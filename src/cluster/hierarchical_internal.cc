@@ -1,6 +1,7 @@
 #include "cluster/hierarchical_internal.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -31,6 +32,14 @@ namespace dbs::cluster::internal {
   }
   if (points.size() == 0) {
     return Status::InvalidArgument("cannot cluster an empty point set");
+  }
+  // A NaN or infinite coordinate makes every distance to its point NaN or
+  // infinite, so that point has no nearest cluster to merge with.
+  for (double coord : points.flat()) {
+    if (!std::isfinite(coord)) {
+      return Status::InvalidArgument(
+          "cannot cluster points with NaN or infinite coordinates");
+    }
   }
   return Status::Ok();
 }

@@ -4,8 +4,8 @@
 // HierarchicalClusterReference (the frozen pre-acceleration oracle) promise
 // bitwise-identical output, so everything that touches representative
 // arithmetic lives here exactly once: option validation, the
-// farthest-point scatter selection and the shrink step. Not part of the
-// public API.
+// farthest-point scatter selection and the shrink step, and the
+// reference's declaration. Not part of the public API.
 
 #ifndef DBS_CLUSTER_HIERARCHICAL_INTERNAL_H_
 #define DBS_CLUSTER_HIERARCHICAL_INTERNAL_H_
@@ -18,7 +18,8 @@
 
 namespace dbs::cluster::internal {
 
-// Argument validation shared by both implementations.
+// Argument validation shared by both implementations: option ranges, a
+// non-empty point set, and finite coordinates.
 [[nodiscard]] Status ValidateHierarchicalArgs(const data::PointSet& points,
                                 const HierarchicalOptions& options);
 
@@ -35,5 +36,17 @@ data::PointSet ShrinkToward(const data::PointSet& scattered,
                             double shrink);
 
 }  // namespace dbs::cluster::internal
+
+namespace dbs::cluster {
+
+// Frozen pre-acceleration implementation, kept as the equivalence oracle
+// for tests/cluster_agglo_equivalence_test and bench/micro_cluster.
+// Quadratic scans. Do not use outside verification. It is defined in
+// hierarchical_reference.cc, which only the dbs_cluster_reference target
+// compiles (dbs_cluster does not), so a caller must link that target.
+[[nodiscard]] Result<ClusteringResult> HierarchicalClusterReference(
+    const data::PointSet& points, const HierarchicalOptions& options);
+
+}  // namespace dbs::cluster
 
 #endif  // DBS_CLUSTER_HIERARCHICAL_INTERNAL_H_

@@ -9,6 +9,7 @@
 // Comparison is on the raw double bit patterns, so even a signed-zero or
 // last-ulp divergence fails.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/hierarchical.h"
+#include "cluster/hierarchical_internal.h"
 #include "data/point_set.h"
 #include "util/rng.h"
 
@@ -114,6 +116,17 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{30, 12, 5, 4, 4, true},
                       Case{80, 20, 2, 6, 6, true}));
 
+// Sizes where the per-merge bookkeeping is exercised at scale: the rep
+// snapshot's dirty cap, max(8, live/32), reaches ~60, it rebuilds dozens
+// of times, and ~30% noise makes both elimination phases remove hundreds
+// of clusters whose referrers all need repair.
+INSTANTIATE_TEST_SUITE_P(
+    Large, AggloEquivalenceTest,
+    ::testing::Values(Case{230, 600, 2, 6, 6, false},
+                      Case{230, 600, 2, 6, 6, true},
+                      Case{280, 600, 3, 5, 5, false},
+                      Case{280, 600, 3, 5, 5, true}));
+
 // Duplicate points force distance ties everywhere; the tie-breaking rule
 // (lowest cluster index wins) must agree between the implementations.
 TEST(AggloEquivalenceTest, ExactDuplicatesTieBreakIdentically) {
@@ -135,6 +148,51 @@ TEST(AggloEquivalenceTest, ExactDuplicatesTieBreakIdentically) {
     auto fast = HierarchicalCluster(ps, opts);
     ASSERT_TRUE(fast.ok());
     ExpectBitwiseEqual(*fast, *ref);
+  }
+}
+
+// The same tie storm at scale: a 32x32 lattice with every site doubled,
+// so each merge's referrer repairs, push-updates and u's own nearest all
+// meet exact ties across many snapshot rebuilds.
+TEST(AggloEquivalenceTest, DuplicateLatticeAtScaleTieBreaksIdentically) {
+  PointSet ps(2);
+  for (int r = 0; r < 32; ++r) {
+    for (int c = 0; c < 32; ++c) {
+      std::vector<double> p{0.03 * c, 0.03 * r};
+      ps.Append(p);
+      ps.Append(p);
+    }
+  }
+  for (bool eliminate : {false, true}) {
+    SCOPED_TRACE(eliminate);
+    HierarchicalOptions opts;
+    opts.num_clusters = 5;
+    opts.eliminate_outliers = eliminate;
+    auto ref = HierarchicalClusterReference(ps, opts);
+    ASSERT_TRUE(ref.ok());
+    auto fast = HierarchicalCluster(ps, opts);
+    ASSERT_TRUE(fast.ok());
+    ExpectBitwiseEqual(*fast, *ref);
+  }
+}
+
+// A NaN or infinite coordinate leaves its point without a nearest cluster;
+// both implementations must say so with InvalidArgument instead of
+// aborting in the merge loop.
+TEST(AggloEquivalenceTest, NonFiniteCoordinatesAreInvalidArgumentInBoth) {
+  HierarchicalOptions opts;
+  opts.num_clusters = 1;
+  opts.eliminate_outliers = false;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    PointSet ps = Blobs(2, 1, 0, 200, 0.0, 7);
+    ps.Append(std::vector<double>{bad, 0.5});
+    auto ref = HierarchicalClusterReference(ps, opts);
+    ASSERT_FALSE(ref.ok());
+    EXPECT_EQ(ref.status().code(), StatusCode::kInvalidArgument);
+    auto fast = HierarchicalCluster(ps, opts);
+    ASSERT_FALSE(fast.ok());
+    EXPECT_EQ(fast.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

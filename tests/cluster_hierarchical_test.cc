@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/hierarchical_internal.h"
 #include "data/distance.h"
 #include "data/point_set.h"
 #include "util/rng.h"
@@ -213,6 +214,35 @@ TEST(HierarchicalTest, DuplicatePoints) {
   ASSERT_EQ(result->num_clusters(), 2);
   EXPECT_EQ(result->clusters[0].members.size(), 20u);
   EXPECT_EQ(result->clusters[1].members.size(), 20u);
+}
+
+// 200 uniform points plus one with a non-finite coordinate: that point has
+// no nearest cluster, so the merge loop cannot run down to one cluster.
+PointSet UniformPlusOne(double bad) {
+  dbs::Rng rng(77);
+  PointSet ps(2);
+  for (int i = 0; i < 200; ++i) {
+    ps.Append(std::vector<double>{rng.NextDouble(), rng.NextDouble()});
+  }
+  ps.Append(std::vector<double>{0.5, bad});
+  return ps;
+}
+
+TEST(HierarchicalTest, NonFiniteCoordinatesAreInvalidArgument) {
+  HierarchicalOptions opts = NoElimination();
+  opts.num_clusters = 1;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    PointSet ps = UniformPlusOne(bad);
+    auto result = HierarchicalCluster(ps, opts);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    // HierarchicalClusterReference runs this same check first (its own
+    // test, which links the reference, is in
+    // cluster_agglo_equivalence_test).
+    EXPECT_EQ(internal::ValidateHierarchicalArgs(ps, opts).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(HierarchicalTest, DeterministicOutput) {
