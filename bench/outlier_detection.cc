@@ -7,8 +7,8 @@
 //   * recall/precision of the KDE detector against the exact detector,
 //   * passes consumed and the candidate-set size (the verification work),
 //   * the candidate-slack tradeoff,
-//   * end-to-end runtime vs the exact kd-tree detector and the O(n^2)
-//     nested loop.
+//   * end-to-end runtime vs the exact cell-list detector and the O(n^2)
+//     nested-loop oracle.
 //
 // mode=batch switches to the perf-smoke harness for the batched scorer:
 // it times the per-point IntegrateExcludingSelf loop against the
@@ -17,16 +17,16 @@
 // against the scalar ones, and exits nonzero on any mismatch — CI runs
 // this as the regression gate for the batch rollout.
 //
-// mode=exact sweeps the three exact detectors (kd-tree, cell-list, nested
-// loop) over dims= x workers= on a clustered workload, checks every report
-// field against the sequential kd-tree reference, emits JSON rows with the
-// cell-list prune statistics and exits nonzero on any mismatch — CI runs
-// this as the regression gate for the cell-list rollout.
+// mode=exact times the exact detector (DetectOutliersCellList) over dims= x
+// workers= on a clustered workload, checks every report field against the
+// nested-loop oracle, emits JSON rows with the prune statistics and exits
+// nonzero on any mismatch — CI runs this as the regression gate for the
+// detector's identical-report contract.
 //
 //   outlier_detection [mode=paper] [points=40000] [queries=4000]
 //                     [qmc_samples=64] [reps=3] [threads=4]
 //   outlier_detection mode=exact [points=20000] [dims=2,3,5]
-//                     [workers=0,1,4] [algos=kd,cell,nested] [reps=3]
+//                     [workers=0,1,4] [reps=3]
 //                     [git_sha=unavailable] [out=BENCH_outlier_exact.json]
 //
 // mode=exact's JSON is stamped with nproc, compiler, build type and the
@@ -44,8 +44,8 @@
 #include "eval/report.h"
 #include "outlier/ball_integration.h"
 #include "outlier/cell_list.h"
-#include "outlier/exact_detector.h"
 #include "outlier/kde_detector.h"
+#include "outlier/nested_loop_reference.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
 #include "synth/geo.h"
@@ -234,19 +234,6 @@ bool ParseIntList(const std::string& spec, std::vector<int>* out) {
   return !out->empty();
 }
 
-bool ParseAlgoList(const std::string& spec, std::vector<std::string>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(pos, comma - pos);
-    if (token != "kd" && token != "cell" && token != "nested") return false;
-    out->push_back(token);
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 // Field-by-field report comparison; any difference in the outlier set, the
 // per-outlier counts, candidates_checked or passes counts as one mismatch
 // per differing field (sizes differing count the whole field once).
@@ -262,12 +249,11 @@ int64_t CountReportMismatches(const dbs::outlier::OutlierReport& got,
 
 struct ExactSeries {
   int dim = 0;
-  std::string algo;
   int workers = 0;  // 0 = sequential (no executor)
   double seconds = 0.0;
-  double speedup_vs_kd_seq = 0.0;
+  double speedup_vs_seq = 0.0;  // vs this dim's workers=0 row
   int64_t mismatches = 0;
-  dbs::outlier::CellListStats stats;  // zero for kd/nested rows
+  dbs::outlier::CellListStats stats;
 };
 
 void WriteExactJson(const std::string& path, const std::string& git_sha,
@@ -288,13 +274,13 @@ void WriteExactJson(const std::string& path, const std::string& git_sha,
     const ExactSeries& r = results[i];
     std::fprintf(
         f,
-        "    {\"dim\": %d, \"algo\": \"%s\", \"workers\": %d, "
-        "\"seconds\": %.6f, \"speedup_vs_kd_seq\": %.3f, "
+        "    {\"dim\": %d, \"workers\": %d, "
+        "\"seconds\": %.6f, \"speedup_vs_seq\": %.3f, "
         "\"mismatches\": %lld, \"grid_cells\": %lld, "
         "\"occupied_cells\": %lld, \"cells_dense_pruned\": %lld, "
         "\"cells_sparse_pruned\": %lld, \"pairwise_evaluated\": %lld, "
         "\"used_fallback\": %s}%s\n",
-        r.dim, r.algo.c_str(), r.workers, r.seconds, r.speedup_vs_kd_seq,
+        r.dim, r.workers, r.seconds, r.speedup_vs_seq,
         static_cast<long long>(r.mismatches),
         static_cast<long long>(r.stats.grid_cells),
         static_cast<long long>(r.stats.occupied_cells),
@@ -309,12 +295,11 @@ void WriteExactJson(const std::string& path, const std::string& git_sha,
   std::printf("wrote %s\n", path.c_str());
 }
 
-// mode=exact: kd-tree vs cell-list vs nested-loop over dims x workers,
-// every report checked field-by-field against the sequential kd-tree
-// reference. Returns the process exit code (nonzero on any mismatch).
+// mode=exact: the exact detector over dims x workers, every report checked
+// field-by-field against the nested-loop oracle. Returns the process exit
+// code (nonzero on any mismatch).
 int RunExactMode(int64_t points, const std::vector<int>& dims,
-                 const std::vector<int>& worker_counts,
-                 const std::vector<std::string>& algos, int reps,
+                 const std::vector<int>& worker_counts, int reps,
                  const std::string& git_sha, const std::string& out) {
   dbs::outlier::DbOutlierParams params;
   params.radius = 0.05;
@@ -324,80 +309,60 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
               static_cast<long long>(points),
               static_cast<long long>(params.max_neighbors), params.radius,
               reps);
-  std::printf("%4s %7s %8s %10s %9s %9s %7s %7s %11s %9s\n", "dim", "algo",
-              "workers", "seconds", "speedup", "mismatch", "dense",
-              "sparse", "pairwise", "fallback");
+  std::printf("%4s %8s %10s %9s %9s %7s %7s %11s %9s\n", "dim", "workers",
+              "seconds", "speedup", "mismatch", "dense", "sparse", "pairwise",
+              "fallback");
 
   std::vector<ExactSeries> results;
   int64_t total_bad = 0;
   for (int dim : dims) {
     Workload w = MakeClusteredWorkload(points, 61, dim);
-    auto reference = dbs::outlier::DetectOutliersExact(w.points, params);
+    auto reference = dbs::outlier::DetectOutliersNestedLoop(w.points, params);
     DBS_CHECK(reference.ok());
-    double kd_seq_seconds = 0.0;
-    for (const std::string& algo : algos) {
-      for (int workers : worker_counts) {
-        std::unique_ptr<dbs::parallel::BatchExecutor> pool;
-        if (workers > 0) {
-          dbs::parallel::BatchExecutorOptions pool_opts;
-          pool_opts.num_workers = workers;
-          pool_opts.queue_capacity = 4096;
-          pool = std::make_unique<dbs::parallel::BatchExecutor>(pool_opts);
-        }
-        ExactSeries series;
-        series.dim = dim;
-        series.algo = algo;
-        series.workers = workers;
-        dbs::outlier::OutlierReport report;
-        if (algo == "cell") {
-          dbs::outlier::CellListDetectorOptions options;
-          options.executor = pool.get();
-          options.stats = &series.stats;
-          series.seconds = TimeBest(reps, [&] {
-            auto r = dbs::outlier::DetectOutliersCellList(w.points, params,
-                                                          options);
-            DBS_CHECK(r.ok());
-            report = std::move(r).value();
-          });
-        } else {
-          dbs::outlier::ExactDetectorOptions options;
-          options.executor = pool.get();
-          series.seconds = TimeBest(reps, [&] {
-            auto r = algo == "kd"
-                         ? dbs::outlier::DetectOutliersExact(w.points,
-                                                             params, options)
-                         : dbs::outlier::DetectOutliersNestedLoop(
-                               w.points, params, options);
-            DBS_CHECK(r.ok());
-            report = std::move(r).value();
-          });
-        }
-        if (pool != nullptr) pool->Shutdown();
-        if (algo == "kd" && workers == 0) kd_seq_seconds = series.seconds;
-        series.speedup_vs_kd_seq =
-            kd_seq_seconds > 0 && series.seconds > 0
-                ? kd_seq_seconds / series.seconds
-                : 0.0;
-        series.mismatches = CountReportMismatches(report, *reference);
-        total_bad += series.mismatches;
-        std::printf("%4d %7s %8d %10.4f %8.2fx %9lld %7lld %7lld %11lld "
-                    "%9s\n",
-                    dim, algo.c_str(), workers, series.seconds,
-                    series.speedup_vs_kd_seq,
-                    static_cast<long long>(series.mismatches),
-                    static_cast<long long>(series.stats.cells_dense_pruned),
-                    static_cast<long long>(series.stats.cells_sparse_pruned),
-                    static_cast<long long>(series.stats.pairwise_evaluated),
-                    series.stats.used_fallback ? "yes" : "no");
-        results.push_back(std::move(series));
+    double seq_seconds = 0.0;
+    for (int workers : worker_counts) {
+      std::unique_ptr<dbs::parallel::BatchExecutor> pool;
+      if (workers > 0) {
+        dbs::parallel::BatchExecutorOptions pool_opts;
+        pool_opts.num_workers = workers;
+        pool_opts.queue_capacity = 4096;
+        pool = std::make_unique<dbs::parallel::BatchExecutor>(pool_opts);
       }
+      ExactSeries series;
+      series.dim = dim;
+      series.workers = workers;
+      dbs::outlier::CellListDetectorOptions options;
+      options.executor = pool.get();
+      options.stats = &series.stats;
+      dbs::outlier::OutlierReport report;
+      series.seconds = TimeBest(reps, [&] {
+        auto r =
+            dbs::outlier::DetectOutliersCellList(w.points, params, options);
+        DBS_CHECK(r.ok());
+        report = std::move(r).value();
+      });
+      if (pool != nullptr) pool->Shutdown();
+      if (workers == 0) seq_seconds = series.seconds;
+      series.speedup_vs_seq = seq_seconds > 0 && series.seconds > 0
+                                  ? seq_seconds / series.seconds
+                                  : 0.0;
+      series.mismatches = CountReportMismatches(report, *reference);
+      total_bad += series.mismatches;
+      std::printf("%4d %8d %10.4f %8.2fx %9lld %7lld %7lld %11lld %9s\n",
+                  dim, workers, series.seconds, series.speedup_vs_seq,
+                  static_cast<long long>(series.mismatches),
+                  static_cast<long long>(series.stats.cells_dense_pruned),
+                  static_cast<long long>(series.stats.cells_sparse_pruned),
+                  static_cast<long long>(series.stats.pairwise_evaluated),
+                  series.stats.used_fallback ? "yes" : "no");
+      results.push_back(std::move(series));
     }
   }
   if (!out.empty()) WriteExactJson(out, git_sha, points, reps, results);
   if (total_bad > 0) {
     std::fprintf(stderr,
-                 "FAIL: %lld report fields differ from the sequential "
-                 "kd-tree reference\n",
+                 "FAIL: %lld report fields differ from the nested-loop "
+                 "oracle\n",
                  static_cast<long long>(total_bad));
     return 1;
   }
@@ -417,7 +382,6 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(flags.GetInt("threads", 4));
   const std::string dims_spec = flags.GetString("dims", "2,3,5");
   const std::string workers_spec = flags.GetString("workers", "0,1,4");
-  const std::string algos_spec = flags.GetString("algos", "kd,cell,nested");
   const std::string git_sha = flags.GetString("git_sha", "unavailable");
   const std::string out =
       flags.GetString("out", "BENCH_outlier_exact.json");
@@ -431,18 +395,16 @@ int main(int argc, char** argv) {
   if (mode == "exact") {
     std::vector<int> dims;
     std::vector<int> worker_counts;
-    std::vector<std::string> algos;
     if (!ParseIntList(dims_spec, &dims) ||
-        !ParseIntList(workers_spec, &worker_counts) ||
-        !ParseAlgoList(algos_spec, &algos)) {
-      std::fprintf(stderr,
-                   "bad dims=/workers=/algos= (algos from kd,cell,nested)\n");
+        !ParseIntList(workers_spec, &worker_counts)) {
+      std::fprintf(stderr, "bad dims=/workers=\n");
       return 2;
     }
     // The default points=40000 is sized for mode=paper; mode=exact runs the
-    // quadratic nested loop too, so its acceptance sweep uses points=20000.
-    return RunExactMode(batch_points, dims, worker_counts, algos, reps,
-                        git_sha, out);
+    // quadratic nested-loop oracle too, so its acceptance sweep uses
+    // points=20000.
+    return RunExactMode(batch_points, dims, worker_counts, reps, git_sha,
+                        out);
   }
   if (mode != "paper") {
     std::fprintf(stderr, "unknown mode '%s' (expected paper|batch|exact)\n",
@@ -466,7 +428,7 @@ int main(int argc, char** argv) {
   workloads.push_back(MakeClusteredWorkload(80000, 41));
   workloads.push_back(MakeGeoWorkload(43));
   for (const Workload& w : workloads) {
-    auto exact = dbs::outlier::DetectOutliersExact(w.points, params);
+    auto exact = dbs::outlier::DetectOutliersCellList(w.points, params);
     DBS_CHECK(exact.ok());
     dbs::density::Kde kde = FitSharpKde(w.points);
     dbs::data::InMemoryScan scan(&w.points);
@@ -511,7 +473,7 @@ int main(int argc, char** argv) {
   // Part 2: candidate slack sweep — recall vs verification work.
   {
     Workload w = MakeClusteredWorkload(80000, 47);
-    auto exact = dbs::outlier::DetectOutliersExact(w.points, params);
+    auto exact = dbs::outlier::DetectOutliersCellList(w.points, params);
     DBS_CHECK(exact.ok());
     dbs::density::Kde kde = FitSharpKde(w.points);
     dbs::eval::Table sweep({"slack", "recall", "candidates"});
@@ -543,10 +505,11 @@ int main(int argc, char** argv) {
     sweep.Print("candidate-slack tradeoff (recall vs verification work)");
   }
 
-  // Part 3: runtime scaling vs the exact baselines.
+  // Part 3: runtime scaling vs the exact detector and the nested-loop
+  // oracle.
   {
     dbs::eval::Table timing({"n", "estimator (s)", "KDE detect (s)",
-                             "exact kd-tree (s)", "nested loop (s)"});
+                             "exact cell list (s)", "nested loop (s)"});
     for (int64_t n : {20000LL, 40000LL, 80000LL}) {
       Workload w = MakeClusteredWorkload(n, 53);
       dbs::eval::Timer fit_timer;
@@ -563,7 +526,7 @@ int main(int argc, char** argv) {
       double kde_s = kde_timer.ElapsedSeconds();
 
       dbs::eval::Timer exact_timer;
-      auto exact = dbs::outlier::DetectOutliersExact(w.points, params);
+      auto exact = dbs::outlier::DetectOutliersCellList(w.points, params);
       DBS_CHECK(exact.ok());
       double exact_s = exact_timer.ElapsedSeconds();
 

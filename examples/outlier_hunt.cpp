@@ -12,7 +12,7 @@
 
 #include "density/kde.h"
 #include "eval/report.h"
-#include "outlier/exact_detector.h"
+#include "outlier/cell_list.h"
 #include "outlier/kde_detector.h"
 #include "synth/generator.h"
 #include "synth/outlier_planting.h"
@@ -92,7 +92,7 @@ int main() {
   }
 
   // Compare against ground truth and the exact detector.
-  auto exact = dbs::outlier::DetectOutliersExact(dataset->points, params);
+  auto exact = dbs::outlier::DetectOutliersCellList(dataset->points, params);
   if (!exact.ok()) return 1;
   int64_t planted_found = 0;
   for (int64_t idx : report->outlier_indices) {

@@ -7,8 +7,7 @@
 
 #include "data/bounds.h"
 #include "data/distance.h"
-#include "outlier/detector_params.h"
-#include "outlier/exact_detector.h"
+#include "data/kd_tree.h"
 #include "parallel/batch_executor.h"
 
 namespace dbs::outlier {
@@ -16,21 +15,24 @@ namespace {
 
 // The grid must never split a within-radius pair across non-adjacent cells,
 // or the 3^d neighborhood stops being a candidate superset and the report
-// diverges from the kd-tree's. The bin side is therefore inflated a hair
+// diverges from the oracle's. The bin side is therefore inflated a hair
 // past the radius: with side = radius * (1 + 2^-20), a pair the kernel can
 // count (computed per-axis gap <= radius * (1 + O(eps))) maps to scaled
 // coordinates less than 1 - 2^-21 apart before rounding, while the rounding
 // error of floor((x - lo) * inv_side) is bounded by a few ulps of the cell
-// coordinate — at most ~2^-28 given the 2^22 per-dimension cell cap below —
-// leaving the margin intact. floor(u_a) - floor(u_b) <= 1 then follows from
-// u_a - u_b < 1.
+// coordinate — at most ~2^-28 given the kMaxGridCells cap below, which
+// bounds every axis too — leaving the margin intact. floor(u_a) -
+// floor(u_b) <= 1 then follows from u_a - u_b < 1.
 constexpr double kSideInflate = 1.0 + 0x1p-20;
 
-// Per-dimension cell-count ceiling backing the error budget above; also
-// bounds the flat index math far away from int64 overflow. Inputs needing
-// more cells on one axis fall back to the kd-tree path regardless of
-// options.max_grid_cells.
-constexpr int64_t kMaxCellsPerDim = int64_t{1} << 22;
+// Dimensions above this take the kd-tree fallback: the 3^d neighborhood and
+// the grid itself grow exponentially with d.
+constexpr int kMaxGridDim = 6;
+
+// Upper bound on allocated grid bins; boxes needing more (tiny radius or
+// extreme aspect ratio) take the kd-tree fallback. It also backs the error
+// budget above and keeps the flat index math far from int64 overflow.
+constexpr int64_t kMaxGridCells = int64_t{1} << 21;
 
 // Tile positions scanned between early-abort checks; also the vectorization
 // width of the SoA kernel's per-axis inner loop.
@@ -68,11 +70,10 @@ int64_t CellCoord(double x, double lo, double inv_side, int64_t cells_j) {
   return c < cells_j ? c : cells_j - 1;
 }
 
-// Builds the grid, or returns false when the input needs more cells than
-// the caps allow (tiny radius or extreme aspect ratio) and the caller
+// Builds the grid, or returns false when the input needs more than
+// kMaxGridCells bins (tiny radius or extreme aspect ratio) and the caller
 // should take the kd-tree fallback instead.
-bool BuildGrid(const data::PointSet& points, double radius,
-               int64_t max_grid_cells, Grid* grid) {
+bool BuildGrid(const data::PointSet& points, double radius, Grid* grid) {
   const int64_t n = points.size();
   const int dim = points.dim();
   data::BoundingBox box(dim);
@@ -83,14 +84,13 @@ bool BuildGrid(const data::PointSet& points, double radius,
   grid->inv_side = 1.0 / side;
   grid->lo.assign(box.lo().begin(), box.lo().end());
   grid->cells.resize(static_cast<size_t>(dim));
-  const int64_t cap_per_dim = std::min(kMaxCellsPerDim, max_grid_cells);
   int64_t total = 1;
   for (int j = 0; j < dim; ++j) {
     // Compare before casting: extent / side can exceed what int64 holds.
     double t = std::floor(box.extent(j) * grid->inv_side);
-    if (!(t < static_cast<double>(cap_per_dim))) return false;
+    if (!(t < static_cast<double>(kMaxGridCells))) return false;
     int64_t cells_j = (t > 0.0 ? static_cast<int64_t>(t) : 0) + 1;
-    if (total > max_grid_cells / cells_j) return false;
+    if (total > kMaxGridCells / cells_j) return false;
     total *= cells_j;
     grid->cells[static_cast<size_t>(j)] = cells_j;
   }
@@ -140,7 +140,7 @@ bool BuildGrid(const data::PointSet& points, double radius,
 }
 
 // True when every pair inside the cell is within `radius` under the exact
-// floating-point comparison the kernel (and the kd-tree) uses. The bound is
+// floating-point comparison the kernel (and the oracle) uses. The bound is
 // the cell's REALIZED per-axis extents pushed through the same expression
 // shapes as the distance code: computed |a_j - b_j| <= computed
 // (max_j - min_j) by monotonicity of rounding, and the per-axis bounds
@@ -226,49 +226,19 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
   return count;
 }
 
-}  // namespace
-
-[[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
-    const data::PointSet& points, const DbOutlierParams& params) {
-  return DetectOutliersCellList(points, params, CellListDetectorOptions{});
-}
-
-[[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
-    const data::PointSet& points, const DbOutlierParams& params,
-    const CellListDetectorOptions& options) {
-  DBS_RETURN_IF_ERROR(ValidateExactDetectorArgs(points, params));
-  if (options.max_grid_dim < 1) {
-    return Status::InvalidArgument("max_grid_dim must be at least 1");
-  }
-  if (options.max_grid_cells < 1) {
-    return Status::InvalidArgument("max_grid_cells must be at least 1");
-  }
-  if (options.stats != nullptr) *options.stats = CellListStats{};
-
+// Grid counting pass: writes every point's neighbors-excluding-self into its
+// slot of `neighbor_counts` — exact up to p, and some value above p once
+// the early abort fires. Each point lives in exactly one cell, so the slots
+// are disjoint and the per-cell pass shards freely.
+[[nodiscard]] Status CountOnGrid(const data::PointSet& points,
+                                 const DbOutlierParams& params, int64_t p,
+                                 const Grid& grid,
+                                 parallel::BatchExecutor* executor,
+                                 CellListStats* stats_out,
+                                 int64_t* neighbor_counts) {
   const int64_t n = points.size();
   const int dim = points.dim();
-  const int64_t p = params.NeighborBound(n);
-
-  Grid grid;
-  // A zero radius means a zero bin side; above max_grid_dim the 3^d
-  // neighborhood stops paying for itself. BuildGrid additionally rejects
-  // inputs whose bounding box needs more bins than the caps allow. All
-  // three cases delegate to the kd-tree detector, which shares the
-  // identical-report contract by construction.
-  const bool grid_ok = params.radius > 0 && dim <= options.max_grid_dim &&
-                       BuildGrid(points, params.radius, options.max_grid_cells,
-                                 &grid);
-  if (!grid_ok) {
-    if (options.stats != nullptr) options.stats->used_fallback = true;
-    ExactDetectorOptions fallback;
-    fallback.executor = options.executor;
-    return DetectOutliersExact(points, params, fallback);
-  }
-
   const int64_t num_occupied = static_cast<int64_t>(grid.occupied.size());
-  // Neighbors-excluding-self per point; disjoint slots (each point lives in
-  // exactly one cell), so the per-cell pass shards freely.
-  std::vector<int64_t> neighbor_counts(static_cast<size_t>(n));
   // Per-occupied-cell stat slots, likewise disjoint; summed sequentially
   // after the parallel pass so totals are worker-count invariant.
   std::vector<CellClass> cell_class(static_cast<size_t>(num_occupied),
@@ -317,8 +287,8 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
                                      params.radius)) {
           cell_class[static_cast<size_t>(oc)] = CellClass::kDense;
           for (int64_t t = tile_s; t < tile_e; ++t) {
-            neighbor_counts[static_cast<size_t>(
-                grid.point_at_pos[static_cast<size_t>(t)])] = p + 1;
+            neighbor_counts[grid.point_at_pos[static_cast<size_t>(t)]] =
+                p + 1;
           }
           continue;
         }
@@ -380,20 +350,19 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
                            params.metric, threshold, stop, count, pairwise);
           if (count >= stop) break;
         }
-        neighbor_counts[static_cast<size_t>(q)] = count - 1;  // exclude self
+        neighbor_counts[q] = count - 1;  // exclude self
       }
     }
   };
 
-  if (options.executor != nullptr) {
-    DBS_RETURN_IF_ERROR(options.executor->ParallelFor(num_occupied,
-                                                      process_cells));
+  if (executor != nullptr) {
+    DBS_RETURN_IF_ERROR(executor->ParallelFor(num_occupied, process_cells));
   } else {
     process_cells(0, num_occupied);
   }
 
-  if (options.stats != nullptr) {
-    CellListStats& stats = *options.stats;
+  if (stats_out != nullptr) {
+    CellListStats& stats = *stats_out;
     stats.grid_cells = grid.total_cells;
     stats.occupied_cells = num_occupied;
     for (int64_t oc = 0; oc < num_occupied; ++oc) {
@@ -404,6 +373,67 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
       }
       stats.pairwise_evaluated += cell_pairwise[static_cast<size_t>(oc)];
     }
+  }
+
+  return Status::Ok();
+}
+
+// Fallback counting pass for inputs the grid cannot serve: one kd-tree
+// count per point, with the same early abort and the same disjoint slots.
+[[nodiscard]] Status CountOnKdTree(const data::PointSet& points,
+                                   const DbOutlierParams& params, int64_t p,
+                                   parallel::BatchExecutor* executor,
+                                   int64_t* neighbor_counts) {
+  data::KdTree tree(&points);
+  auto count_range = [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      // Count includes the point itself; abort once p+1 OTHER neighbors
+      // are certain (i.e. p+2 counting self).
+      const int64_t count = tree.CountWithinRadiusMetric(
+          points[i], params.radius, params.metric, /*cap=*/p + 1);
+      neighbor_counts[i] = count - 1;  // exclude self
+    }
+  };
+  if (executor != nullptr) {
+    return executor->ParallelFor(points.size(), count_range);
+  }
+  count_range(0, points.size());
+  return Status::Ok();
+}
+
+}  // namespace
+
+[[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
+    const data::PointSet& points, const DbOutlierParams& params) {
+  return DetectOutliersCellList(points, params, CellListDetectorOptions{});
+}
+
+[[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
+    const data::PointSet& points, const DbOutlierParams& params,
+    const CellListDetectorOptions& options) {
+  if (points.empty()) {
+    return Status::InvalidArgument("cannot detect outliers in an empty set");
+  }
+  DBS_RETURN_IF_ERROR(ValidateDbOutlierParams(params));
+  if (options.stats != nullptr) *options.stats = CellListStats{};
+
+  const int64_t n = points.size();
+  const int64_t p = params.NeighborBound(n);
+  // Neighbors-excluding-self per point, filled by whichever pass runs.
+  std::vector<int64_t> neighbor_counts(static_cast<size_t>(n));
+
+  // A zero radius means a zero bin side; above kMaxGridDim the 3^d
+  // neighborhood stops paying for itself; BuildGrid rejects boxes needing
+  // more than kMaxGridCells bins. All three take the kd-tree pass.
+  Grid grid;
+  if (params.radius > 0 && points.dim() <= kMaxGridDim &&
+      BuildGrid(points, params.radius, &grid)) {
+    DBS_RETURN_IF_ERROR(CountOnGrid(points, params, p, grid, options.executor,
+                                    options.stats, neighbor_counts.data()));
+  } else {
+    if (options.stats != nullptr) options.stats->used_fallback = true;
+    DBS_RETURN_IF_ERROR(CountOnKdTree(points, params, p, options.executor,
+                                      neighbor_counts.data()));
   }
 
   OutlierReport report;

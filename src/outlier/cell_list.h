@@ -1,4 +1,5 @@
-// Cell-list exact DB(p,k)-outlier detection with whole-cell pruning.
+// Exact DB(p,k)-outlier detection: the library's one exact detector, a
+// cell list with whole-cell pruning.
 //
 // DB(p,k) detection is a fixed-radius COUNTING problem: for every point,
 // how many others lie within distance D (the paper's k), with an early
@@ -27,13 +28,15 @@
 // neighbor tiles with the same early abort at p+1 the kd-tree uses.
 // Counting is integer and every comparison uses the same floating-point
 // expressions as data::SquaredL2 / data::Distance, so the report is
-// byte-identical to DetectOutliersExact for all three metrics, and —
-// because cells shard over the executor with disjoint per-point count
-// slots and a sequential assembly sweep — at any worker count.
+// byte-identical to the nested-loop oracle (outlier/nested_loop_reference.h)
+// for all three metrics, and — because cells shard over the executor with
+// disjoint per-point count slots and a sequential assembly sweep — at any
+// worker count.
 //
-// Inputs the grid cannot serve (dimension above max_grid_dim, radius 0, or
-// a bounding box needing more than max_grid_cells bins) fall back to the
-// kd-tree detector, preserving the identical-report contract trivially.
+// Inputs the grid cannot serve — radius 0, dimension above 6, or a bounding
+// box needing more than 2^21 bins — are counted with a kd-tree instead.
+// Both paths fill the same per-point count array and share the report
+// assembly, so the identical-report contract covers the fallback too.
 
 #ifndef DBS_OUTLIER_CELL_LIST_H_
 #define DBS_OUTLIER_CELL_LIST_H_
@@ -65,31 +68,27 @@ struct CellListStats {
   int64_t cells_sparse_pruned = 0;
   // Point-pair distance evaluations performed by the SoA kernel.
   int64_t pairwise_evaluated = 0;
-  // True when the kd-tree fallback ran instead of the grid (high dimension,
-  // radius 0, or the grid would exceed max_grid_cells). All other counters
-  // are zero in that case.
+  // True when the kd-tree fallback ran instead of the grid (radius 0,
+  // dimension above 6, or a grid of more than 2^21 bins). All other
+  // counters are zero in that case.
   bool used_fallback = false;
 };
 
 struct CellListDetectorOptions {
-  // Optional worker pool (not owned) for the per-cell counting pass. Cells
-  // are sharded by contiguous range; every cell writes only its own
-  // residents' count slots and its own stat slots, and the report is
-  // assembled in one sequential index-ascending sweep, so output is
-  // identical with 0, 1 or N workers. kUnavailable under backpressure.
+  // Optional worker pool (not owned) for the counting pass: occupied cells
+  // on the grid, points on the kd-tree fallback, sharded by contiguous
+  // range. Every shard writes only its own points' count slots and its own
+  // stat slots, and the report is assembled in one sequential
+  // index-ascending sweep, so output is identical with 0, 1 or N workers.
+  // kUnavailable under backpressure.
   parallel::BatchExecutor* executor = nullptr;
-  // Dimensions above this cap fall back to the kd-tree path (the 3^d
-  // neighborhood and the grid itself grow exponentially with d).
-  int max_grid_dim = 6;
-  // Upper bound on allocated grid bins; boxes needing more (tiny radius or
-  // extreme aspect ratio) fall back to the kd-tree path.
-  int64_t max_grid_cells = int64_t{1} << 21;
   // Optional prune accounting (not owned); filled when non-null.
   CellListStats* stats = nullptr;
 };
 
-// Exact detection over a uniform cell list; identical report to
-// DetectOutliersExact for every metric, dimension and worker count.
+// Exact detection; the same report as the nested-loop oracle for every
+// metric, dimension and worker count. InvalidArgument for an empty point
+// set or parameters ValidateDbOutlierParams rejects.
 [[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
     const data::PointSet& points, const DbOutlierParams& params);
 

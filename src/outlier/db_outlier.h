@@ -8,10 +8,12 @@
 #ifndef DBS_OUTLIER_DB_OUTLIER_H_
 #define DBS_OUTLIER_DB_OUTLIER_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "data/distance.h"
+#include "util/status.h"
 
 namespace dbs::outlier {
 
@@ -36,6 +38,27 @@ struct DbOutlierParams {
     return max_neighbors;
   }
 };
+
+// The one check every DB(p,k) entry point runs on its parameters: the exact
+// detector and its oracle, the approximate detector's scoring stage, the
+// estimate and the serve layer's outlier scoring. Each comparison is
+// written so that NaN fails it: a radius must be finite and non-negative, a
+// fraction at most 1 (any negative value means "unset"), and an unset
+// fraction needs a non-negative count.
+[[nodiscard]] inline Status ValidateDbOutlierParams(
+    const DbOutlierParams& params) {
+  if (!(params.radius >= 0 && std::isfinite(params.radius))) {
+    return Status::InvalidArgument("radius must be finite and non-negative");
+  }
+  if (!(params.max_neighbor_fraction <= 1)) {
+    return Status::InvalidArgument(
+        "neighbor fraction cannot exceed 1 or be NaN");
+  }
+  if (params.max_neighbor_fraction < 0 && params.max_neighbors < 0) {
+    return Status::InvalidArgument("neighbor bound cannot be negative");
+  }
+  return Status::Ok();
+}
 
 struct OutlierReport {
   // Indices of the detected outliers (into the scanned dataset order).

@@ -8,6 +8,7 @@
 #include "data/dataset_io.h"
 #include "data/range_scan.h"
 #include "outlier/ball_integration.h"
+#include "outlier/db_outlier.h"
 #include "util/shard.h"
 #include "util/stats.h"
 
@@ -148,14 +149,13 @@ Result<OutlierScoreBatchResponse> ModelService::OutlierScores(
   Status valid =
       ValidatePoints(request.points, (*model)->dim(), request.model);
   if (!valid.ok()) return fail(valid);
-  if (request.radius < 0) {
-    return fail(Status::InvalidArgument("radius cannot be negative"));
-  }
+  outlier::DbOutlierParams params;
+  params.radius = request.radius;
+  params.max_neighbors = request.max_neighbors;
+  valid = outlier::ValidateDbOutlierParams(params);
+  if (!valid.ok()) return fail(valid);
   if (request.qmc_samples <= 0) {
     return fail(Status::InvalidArgument("qmc_samples must be positive"));
-  }
-  if (request.max_neighbors < 0) {
-    return fail(Status::InvalidArgument("max_neighbors cannot be negative"));
   }
 
   const outlier::BallIntegrator integrator(

@@ -23,7 +23,7 @@
 #include "density/grid_density.h"
 #include "density/kde.h"
 #include "eval/cluster_match.h"
-#include "outlier/exact_detector.h"
+#include "outlier/cell_list.h"
 #include "outlier/kde_detector.h"
 #include "sampling/uniform_sampler.h"
 #include "synth/cure_dataset.h"
@@ -181,7 +181,7 @@ TEST(IntegrationTest, OutlierPipelineEndToEnd) {
   auto approx = outlier::DetectOutliersApproximate(scan, *kde, params,
                                                    detector_opts);
   ASSERT_TRUE(approx.ok());
-  auto exact = outlier::DetectOutliersExact(ds.points, params);
+  auto exact = outlier::DetectOutliersCellList(ds.points, params);
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(approx->outlier_indices, exact->outlier_indices);
   EXPECT_LE(scan.passes(), 2);

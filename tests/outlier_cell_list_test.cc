@@ -1,19 +1,19 @@
 // Equivalence and degenerate-input coverage for DetectOutliersCellList.
 //
-// The cell-list detector's contract is byte-identity with the kd-tree
-// detector (and through it the nested loop) for every metric, dimension and
-// worker count — including inputs decided wholesale by the dense/sparse
-// cell rules and inputs that take the kd-tree fallback. Tests compare full
-// reports, never just outlier sets.
+// The detector's contract is byte-identity with the nested-loop oracle for
+// every metric, dimension and worker count — including inputs decided
+// wholesale by the dense/sparse cell rules and inputs that take the
+// kd-tree fallback. Tests compare full reports, never just outlier sets.
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
 #include "outlier/cell_list.h"
-#include "outlier/exact_detector.h"
+#include "outlier/nested_loop_reference.h"
 #include "parallel/batch_executor.h"
 #include "util/rng.h"
 
@@ -66,11 +66,8 @@ TEST(CellListTest, EquivalenceMatrixAcrossMetricsDimsAndWorkers) {
       params.radius = 0.15;
       params.max_neighbors = 5;
       params.metric = metric;
-      auto kd = DetectOutliersExact(ps, params);
-      auto nested = DetectOutliersNestedLoop(ps, params);
-      ASSERT_TRUE(kd.ok());
-      ASSERT_TRUE(nested.ok());
-      ExpectSameReport(*nested, *kd);
+      auto oracle = DetectOutliersNestedLoop(ps, params);
+      ASSERT_TRUE(oracle.ok());
       for (int workers : {0, 1, 4}) {
         SCOPED_TRACE(testing::Message() << "dim=" << dim << " metric="
                                         << static_cast<int>(metric)
@@ -85,7 +82,7 @@ TEST(CellListTest, EquivalenceMatrixAcrossMetricsDimsAndWorkers) {
         if (workers > 0) options.executor = &pool;
         auto cell = DetectOutliersCellList(ps, params, options);
         ASSERT_TRUE(cell.ok());
-        ExpectSameReport(*cell, *kd);
+        ExpectSameReport(*cell, *oracle);
         EXPECT_FALSE(stats.used_fallback);
         EXPECT_GT(stats.occupied_cells, 0);
       }
@@ -143,14 +140,11 @@ TEST(CellListTest, BoundaryDistancesOnPowerOfTwoLattice) {
     params.radius = 0.125;
     params.max_neighbors = 3;  // interior points have 4 axis neighbors (L2)
     params.metric = metric;
-    auto kd = DetectOutliersExact(ps, params);
-    auto nested = DetectOutliersNestedLoop(ps, params);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
     auto cell = DetectOutliersCellList(ps, params);
-    ASSERT_TRUE(kd.ok());
-    ASSERT_TRUE(nested.ok());
+    ASSERT_TRUE(oracle.ok());
     ASSERT_TRUE(cell.ok());
-    ExpectSameReport(*cell, *kd);
-    ExpectSameReport(*nested, *kd);
+    ExpectSameReport(*cell, *oracle);
   }
 }
 
@@ -163,10 +157,10 @@ TEST(CellListTest, RadiusZeroTakesKdTreeFallback) {
   CellListDetectorOptions options;
   options.stats = &stats;
   auto cell = DetectOutliersCellList(ps, params, options);
-  auto kd = DetectOutliersExact(ps, params);
+  auto oracle = DetectOutliersNestedLoop(ps, params);
   ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameReport(*cell, *oracle);
   EXPECT_TRUE(stats.used_fallback);
   // The two coincident points neighbor each other at distance 0.
   EXPECT_EQ(cell->outlier_indices, (std::vector<int64_t>{2}));
@@ -187,10 +181,10 @@ TEST(CellListTest, AllIdenticalPointsDensePruneWholesale) {
     CellListDetectorOptions options;
     options.stats = &stats;
     auto cell = DetectOutliersCellList(ps, params, options);
-    auto kd = DetectOutliersExact(ps, params);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
     ASSERT_TRUE(cell.ok());
-    ASSERT_TRUE(kd.ok());
-    ExpectSameReport(*cell, *kd);
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameReport(*cell, *oracle);
     EXPECT_TRUE(cell->outlier_indices.empty());
     // One occupied zero-extent cell with 50 >= p+2 residents: the dense
     // rule decides everything without a single distance evaluation.
@@ -212,10 +206,10 @@ TEST(CellListTest, AllIdenticalPointsSparseRuleStillReportsExactCounts) {
   CellListDetectorOptions options;
   options.stats = &stats;
   auto cell = DetectOutliersCellList(ps, params, options);
-  auto kd = DetectOutliersExact(ps, params);
+  auto oracle = DetectOutliersNestedLoop(ps, params);
   ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameReport(*cell, *oracle);
   ASSERT_EQ(cell->outlier_indices.size(), 50u);
   for (int64_t count : cell->neighbor_counts) EXPECT_EQ(count, 49);
   EXPECT_EQ(stats.cells_sparse_pruned, 1);
@@ -228,17 +222,17 @@ TEST(CellListTest, SinglePoint) {
   params.radius = 1.0;
   params.max_neighbors = 0;
   auto cell = DetectOutliersCellList(ps, params);
-  auto kd = DetectOutliersExact(ps, params);
+  auto oracle = DetectOutliersNestedLoop(ps, params);
   ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameReport(*cell, *oracle);
   EXPECT_EQ(cell->outlier_indices, (std::vector<int64_t>{0}));
   EXPECT_EQ(cell->neighbor_counts, (std::vector<int64_t>{0}));
 }
 
 TEST(CellListTest, ExtremeAspectRatioBox) {
   // 2000:1 aspect ratio: many cells along x, one along y. The grid stays
-  // small enough to build, and the report still matches the kd-tree's.
+  // small enough to build, and the report still matches the oracle's.
   dbs::Rng rng(31);
   PointSet ps(2);
   for (int i = 0; i < 800; ++i) {
@@ -252,10 +246,10 @@ TEST(CellListTest, ExtremeAspectRatioBox) {
   CellListDetectorOptions options;
   options.stats = &stats;
   auto cell = DetectOutliersCellList(ps, params, options);
-  auto kd = DetectOutliersExact(ps, params);
+  auto oracle = DetectOutliersNestedLoop(ps, params);
   ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameReport(*cell, *oracle);
   EXPECT_FALSE(stats.used_fallback);
   EXPECT_GT(stats.grid_cells, 400);
 }
@@ -277,10 +271,10 @@ TEST(CellListTest, RadiusLargerThanBoundingBoxDensePrunes) {
     CellListDetectorOptions options;
     options.stats = &stats;
     auto cell = DetectOutliersCellList(ps, params, options);
-    auto kd = DetectOutliersExact(ps, params);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
     ASSERT_TRUE(cell.ok());
-    ASSERT_TRUE(kd.ok());
-    ExpectSameReport(*cell, *kd);
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameReport(*cell, *oracle);
     EXPECT_TRUE(cell->outlier_indices.empty());
     EXPECT_EQ(stats.grid_cells, 1);
     EXPECT_EQ(stats.cells_dense_pruned, 1);
@@ -290,82 +284,107 @@ TEST(CellListTest, RadiusLargerThanBoundingBoxDensePrunes) {
 
 TEST(CellListTest, HighDimensionTakesKdTreeFallback) {
   dbs::Rng rng(41);
-  PointSet ps(7);  // above the default max_grid_dim of 6
+  PointSet ps(7);  // one axis above the grid's dimension cap of 6
   for (int i = 0; i < 300; ++i) {
     std::vector<double> x(7);
     for (auto& v : x) v = rng.NextDouble();
     ps.Append(x);
   }
-  DbOutlierParams params;
-  params.radius = 0.5;
-  params.max_neighbors = 5;
-  CellListStats stats;
-  CellListDetectorOptions options;
-  options.stats = &stats;
-  auto cell = DetectOutliersCellList(ps, params, options);
-  auto kd = DetectOutliersExact(ps, params);
-  ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
-  EXPECT_TRUE(stats.used_fallback);
-
-  // Lowering the cap forces the same fallback in low dimension.
-  PointSet ps3 = MixedWorkload(3, 100, 100, 2, 43);
-  CellListStats stats3;
-  CellListDetectorOptions low_cap;
-  low_cap.max_grid_dim = 2;
-  low_cap.stats = &stats3;
-  auto cell3 = DetectOutliersCellList(ps3, params, low_cap);
-  auto kd3 = DetectOutliersExact(ps3, params);
-  ASSERT_TRUE(cell3.ok());
-  ASSERT_TRUE(kd3.ok());
-  ExpectSameReport(*cell3, *kd3);
-  EXPECT_TRUE(stats3.used_fallback);
+  for (Metric metric : kMetrics) {
+    SCOPED_TRACE(static_cast<int>(metric));
+    DbOutlierParams params;
+    params.radius = 0.5;
+    params.max_neighbors = 5;
+    params.metric = metric;
+    CellListStats stats;
+    CellListDetectorOptions options;
+    options.stats = &stats;
+    auto cell = DetectOutliersCellList(ps, params, options);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
+    ASSERT_TRUE(cell.ok());
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameReport(*cell, *oracle);
+    EXPECT_TRUE(stats.used_fallback);
+    EXPECT_EQ(stats.grid_cells, 0);
+  }
 }
 
 TEST(CellListTest, GridCellCapTakesKdTreeFallback) {
+  // Tight clumps of 1-4 points spread over the unit cube (two corners pin
+  // the bounding box), so points have 0-3 neighbors. Radius 0.01 needs
+  // ~101^3 ~ 1.03M bins, under the 2^21 cap; radius 0.005 needs ~201^3 ~
+  // 8.1M, over it.
   dbs::Rng rng(47);
-  PointSet ps(2);
-  for (int i = 0; i < 500; ++i) {
-    ps.Append(std::vector<double>{rng.NextDouble(), rng.NextDouble()});
+  PointSet ps(3);
+  for (int c = 0; c < 150; ++c) {
+    const double x = rng.NextDouble();
+    const double y = rng.NextDouble();
+    const double z = rng.NextDouble();
+    for (int k = 0; k <= c % 4; ++k) {
+      ps.Append(std::vector<double>{x + rng.NextDouble(-0.002, 0.002),
+                                    y + rng.NextDouble(-0.002, 0.002),
+                                    z + rng.NextDouble(-0.002, 0.002)});
+    }
   }
-  DbOutlierParams params;
-  params.radius = 0.01;  // would need a ~100x100 grid
-  params.max_neighbors = 2;
-  CellListStats stats;
-  CellListDetectorOptions options;
-  options.max_grid_cells = 64;
-  options.stats = &stats;
-  auto cell = DetectOutliersCellList(ps, params, options);
-  auto kd = DetectOutliersExact(ps, params);
-  ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
-  EXPECT_TRUE(stats.used_fallback);
+  ps.Append(std::vector<double>{0.0, 0.0, 0.0});
+  ps.Append(std::vector<double>{1.0, 1.0, 1.0});
+  for (double radius : {0.01, 0.005}) {
+    SCOPED_TRACE(radius);
+    DbOutlierParams params;
+    params.radius = radius;
+    params.max_neighbors = 1;
+    CellListStats stats;
+    CellListDetectorOptions options;
+    options.stats = &stats;
+    auto cell = DetectOutliersCellList(ps, params, options);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
+    ASSERT_TRUE(cell.ok());
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameReport(*cell, *oracle);
+    EXPECT_EQ(stats.used_fallback, radius < 0.01);
+  }
 }
 
 TEST(CellListTest, RejectsBadArgsWithSameMessagesAsKdTree) {
+  // Validation runs before the grid-or-fallback choice, so a bad input is
+  // rejected with the same message whichever path it would take — and with
+  // the oracle's message.
   PointSet ps(2, {0.0, 0.0});
+  PointSet ps7(7, {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0});
   DbOutlierParams bad_radius;
   bad_radius.radius = -1;
   auto cell = DetectOutliersCellList(ps, bad_radius);
-  auto kd = DetectOutliersExact(ps, bad_radius);
+  auto kd = DetectOutliersCellList(ps7, bad_radius);
+  auto oracle = DetectOutliersNestedLoop(ps, bad_radius);
   ASSERT_FALSE(cell.ok());
   ASSERT_FALSE(kd.ok());
+  ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(cell.status().ToString(), kd.status().ToString());
+  EXPECT_EQ(cell.status().ToString(), oracle.status().ToString());
 
   DbOutlierParams bad_fraction;
   bad_fraction.max_neighbor_fraction = 1.5;
   EXPECT_FALSE(DetectOutliersCellList(ps, bad_fraction).ok());
   EXPECT_FALSE(DetectOutliersCellList(PointSet(2), DbOutlierParams{}).ok());
+}
 
-  DbOutlierParams params;
-  CellListDetectorOptions bad_dim;
-  bad_dim.max_grid_dim = 0;
-  EXPECT_FALSE(DetectOutliersCellList(ps, params, bad_dim).ok());
-  CellListDetectorOptions bad_cells;
-  bad_cells.max_grid_cells = 0;
-  EXPECT_FALSE(DetectOutliersCellList(ps, params, bad_cells).ok());
+TEST(CellListTest, RejectsNonFiniteParams) {
+  PointSet ps = MixedWorkload(2, 100, 100, 0, 59);
+  for (double radius : {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(radius);
+    DbOutlierParams params;
+    params.radius = radius;
+    auto cell = DetectOutliersCellList(ps, params);
+    ASSERT_FALSE(cell.ok());
+    EXPECT_EQ(cell.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A NaN fraction is not "unset" (negative): it is rejected too.
+  DbOutlierParams nan_fraction;
+  nan_fraction.max_neighbor_fraction = std::nan("");
+  auto cell = DetectOutliersCellList(ps, nan_fraction);
+  ASSERT_FALSE(cell.ok());
+  EXPECT_EQ(cell.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CellListTest, ShardedCountingPropagatesBackpressure) {
@@ -390,10 +409,10 @@ TEST(CellListTest, FractionalNeighborBound) {
   params.radius = 0.1;
   params.max_neighbor_fraction = 0.2;  // 20% of 5 points = 1 neighbor
   auto cell = DetectOutliersCellList(ps, params);
-  auto kd = DetectOutliersExact(ps, params);
+  auto oracle = DetectOutliersNestedLoop(ps, params);
   ASSERT_TRUE(cell.ok());
-  ASSERT_TRUE(kd.ok());
-  ExpectSameReport(*cell, *kd);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameReport(*cell, *oracle);
   EXPECT_EQ(cell->outlier_indices, (std::vector<int64_t>{4}));
 }
 

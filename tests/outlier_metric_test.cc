@@ -12,8 +12,9 @@
 #include "data/point_set.h"
 #include "density/kde.h"
 #include "outlier/ball_integration.h"
-#include "outlier/exact_detector.h"
+#include "outlier/cell_list.h"
 #include "outlier/kde_detector.h"
+#include "outlier/nested_loop_reference.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -87,7 +88,7 @@ TEST(ExactDetectorMetricTest, MetricChangesTheNeighborhood) {
   params.max_neighbors = 1;
 
   params.metric = Metric::kL1;
-  auto l1 = DetectOutliersNestedLoop(ps, params);
+  auto l1 = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(l1.ok());
   // L1 neighborhoods of radius 0.1: center <-> axis at 0.09 (neighbors),
   // axis <-> diagonal at |0.09-0.07|+0.07 = 0.09 (neighbors), but center
@@ -96,7 +97,7 @@ TEST(ExactDetectorMetricTest, MetricChangesTheNeighborhood) {
   EXPECT_EQ(l1->outlier_indices, (std::vector<int64_t>{0, 2, 3}));
 
   params.metric = Metric::kL2;
-  auto l2 = DetectOutliersNestedLoop(ps, params);
+  auto l2 = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(l2.ok());
   // Under L2 the center sees BOTH near points (2 > 1): not an outlier.
   std::set<int64_t> l2_set(l2->outlier_indices.begin(),
@@ -104,7 +105,7 @@ TEST(ExactDetectorMetricTest, MetricChangesTheNeighborhood) {
   EXPECT_FALSE(l2_set.count(0));
 
   params.metric = Metric::kLinf;
-  auto linf = DetectOutliersNestedLoop(ps, params);
+  auto linf = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(linf.ok());
   std::set<int64_t> linf_set(linf->outlier_indices.begin(),
                              linf->outlier_indices.end());
@@ -112,18 +113,31 @@ TEST(ExactDetectorMetricTest, MetricChangesTheNeighborhood) {
 }
 
 TEST(ExactDetectorMetricTest, KdTreeMatchesNestedLoopAllMetrics) {
-  PointSet ps = RandomPoints(500, 2, 11);
-  for (Metric metric : {Metric::kL1, Metric::kLinf}) {
-    DbOutlierParams params;
-    params.radius = 0.03;
-    params.max_neighbors = 2;
-    params.metric = metric;
-    auto a = DetectOutliersExact(ps, params);
-    auto b = DetectOutliersNestedLoop(ps, params);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->outlier_indices, b->outlier_indices);
-    EXPECT_EQ(a->neighbor_counts, b->neighbor_counts);
+  // 2-D runs on the grid, 7-D on the kd-tree fallback.
+  struct Case {
+    int dim;
+    double radius;
+  };
+  for (const Case& c : {Case{2, 0.03}, Case{7, 0.6}}) {
+    PointSet ps = RandomPoints(500, c.dim, 11);
+    for (Metric metric : {Metric::kL1, Metric::kLinf}) {
+      SCOPED_TRACE(testing::Message() << "dim=" << c.dim << " metric="
+                                      << static_cast<int>(metric));
+      DbOutlierParams params;
+      params.radius = c.radius;
+      params.max_neighbors = 2;
+      params.metric = metric;
+      CellListStats stats;
+      CellListDetectorOptions options;
+      options.stats = &stats;
+      auto a = DetectOutliersCellList(ps, params, options);
+      auto b = DetectOutliersNestedLoop(ps, params);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a->outlier_indices, b->outlier_indices);
+      EXPECT_EQ(a->neighbor_counts, b->neighbor_counts);
+      EXPECT_EQ(stats.used_fallback, c.dim == 7);
+    }
   }
 }
 
@@ -191,7 +205,7 @@ TEST(KdeDetectorMetricTest, FindsPlantedOutliersUnderL1AndLinf) {
     KdeDetectorOptions options;
     options.candidate_slack = 5.0;
     auto approx = DetectOutliersApproximate(ps, *kde, params, options);
-    auto exact = DetectOutliersExact(ps, params);
+    auto exact = DetectOutliersCellList(ps, params);
     ASSERT_TRUE(approx.ok());
     ASSERT_TRUE(exact.ok());
     EXPECT_EQ(approx->outlier_indices, exact->outlier_indices)

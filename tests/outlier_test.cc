@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -8,8 +9,9 @@
 #include "data/point_set.h"
 #include "density/kde.h"
 #include "outlier/ball_integration.h"
-#include "outlier/exact_detector.h"
+#include "outlier/cell_list.h"
 #include "outlier/kde_detector.h"
+#include "outlier/nested_loop_reference.h"
 #include "parallel/batch_executor.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -20,25 +22,31 @@ namespace {
 using data::PointSet;
 using data::PointView;
 
-// A dense cloud in [0.4, 0.6]^2 plus isolated planted outliers far away.
+// A dense cloud in [0.4, 0.6]^dim plus isolated planted outliers far away.
 struct PlantedWorkload {
   PointSet points{2};
   std::vector<int64_t> outlier_indices;  // planted positions
 };
 
-PlantedWorkload MakePlanted(int64_t n_cloud, int n_outliers, uint64_t seed) {
+PlantedWorkload MakePlanted(int64_t n_cloud, int n_outliers, uint64_t seed,
+                            int dim = 2) {
   dbs::Rng rng(seed);
   PlantedWorkload w;
+  w.points = PointSet(dim);
+  std::vector<double> x(static_cast<size_t>(dim));
   for (int64_t i = 0; i < n_cloud; ++i) {
-    w.points.Append(std::vector<double>{rng.NextDouble(0.4, 0.6),
-                                        rng.NextDouble(0.4, 0.6)});
+    for (double& v : x) v = rng.NextDouble(0.4, 0.6);
+    w.points.Append(x);
   }
-  // Outliers on a far ring: pairwise distant and far from the cloud.
+  // Outliers on a far ring in the first two axes: pairwise distant and far
+  // from the cloud.
   for (int i = 0; i < n_outliers; ++i) {
     double angle = 2.0 * M_PI * i / n_outliers;
     w.outlier_indices.push_back(w.points.size());
-    w.points.Append(std::vector<double>{0.5 + 2.0 * std::cos(angle),
-                                        0.5 + 2.0 * std::sin(angle)});
+    std::fill(x.begin(), x.end(), 0.5);
+    x[0] = 0.5 + 2.0 * std::cos(angle);
+    x[1] = 0.5 + 2.0 * std::sin(angle);
+    w.points.Append(x);
   }
   return w;
 }
@@ -55,11 +63,11 @@ TEST(ExactDetectorTest, RejectsBadParams) {
   PointSet ps(2, {0.0, 0.0});
   DbOutlierParams bad;
   bad.radius = -1;
-  EXPECT_FALSE(DetectOutliersExact(ps, bad).ok());
+  EXPECT_FALSE(DetectOutliersCellList(ps, bad).ok());
   DbOutlierParams frac;
   frac.max_neighbor_fraction = 1.5;
-  EXPECT_FALSE(DetectOutliersExact(ps, frac).ok());
-  EXPECT_FALSE(DetectOutliersExact(PointSet(2), DbOutlierParams{}).ok());
+  EXPECT_FALSE(DetectOutliersCellList(ps, frac).ok());
+  EXPECT_FALSE(DetectOutliersCellList(PointSet(2), DbOutlierParams{}).ok());
 }
 
 TEST(ExactDetectorTest, DefinitionOnTinyExample) {
@@ -68,37 +76,48 @@ TEST(ExactDetectorTest, DefinitionOnTinyExample) {
   DbOutlierParams params;
   params.radius = 0.15;
   params.max_neighbors = 0;  // no neighbors allowed
-  auto report = DetectOutliersExact(ps, params);
+  auto report = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(report.ok());
   // 0 has neighbor 0.1; 0.1 has two; 0.2 has one; 10 has none.
   EXPECT_EQ(report->outlier_indices, (std::vector<int64_t>{3}));
   EXPECT_EQ(report->neighbor_counts, (std::vector<int64_t>{0}));
 
   params.max_neighbors = 1;
-  report = DetectOutliersExact(ps, params);
+  report = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->outlier_indices, (std::vector<int64_t>{0, 2, 3}));
 }
 
 TEST(ExactDetectorTest, KdTreeMatchesNestedLoop) {
-  dbs::Rng rng(1);
-  PointSet ps(3);
-  for (int i = 0; i < 600; ++i) {
-    ps.Append(std::vector<double>{rng.NextDouble(), rng.NextDouble(),
-                                  rng.NextDouble()});
-  }
-  for (double radius : {0.05, 0.15, 0.3}) {
-    for (int64_t p : {0, 3, 10}) {
-      DbOutlierParams params;
-      params.radius = radius;
-      params.max_neighbors = p;
-      auto a = DetectOutliersExact(ps, params);
-      auto b = DetectOutliersNestedLoop(ps, params);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->outlier_indices, b->outlier_indices)
-          << "radius=" << radius << " p=" << p;
-      EXPECT_EQ(a->neighbor_counts, b->neighbor_counts);
+  // 3-D runs on the grid, 7-D on the kd-tree fallback; both must match the
+  // oracle.
+  for (int dim : {3, 7}) {
+    dbs::Rng rng(1);
+    PointSet ps(dim);
+    std::vector<double> x(static_cast<size_t>(dim));
+    for (int i = 0; i < 600; ++i) {
+      for (double& v : x) v = rng.NextDouble();
+      ps.Append(x);
+    }
+    // Radii scale with dim so the 7-D runs see neighbors too.
+    const double scale = dim == 3 ? 1.0 : 3.0;
+    for (double radius : {0.05, 0.15, 0.3}) {
+      for (int64_t p : {0, 3, 10}) {
+        DbOutlierParams params;
+        params.radius = radius * scale;
+        params.max_neighbors = p;
+        CellListStats stats;
+        CellListDetectorOptions options;
+        options.stats = &stats;
+        auto a = DetectOutliersCellList(ps, params, options);
+        auto b = DetectOutliersNestedLoop(ps, params);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        EXPECT_EQ(a->outlier_indices, b->outlier_indices)
+            << "dim=" << dim << " radius=" << params.radius << " p=" << p;
+        EXPECT_EQ(a->neighbor_counts, b->neighbor_counts);
+        EXPECT_EQ(stats.used_fallback, dim == 7);
+      }
     }
   }
 }
@@ -109,7 +128,7 @@ TEST(ExactDetectorTest, FractionalNeighborBound) {
   params.radius = 0.1;
   params.max_neighbor_fraction = 0.2;  // 20% of 5 points = 1 neighbor
   EXPECT_EQ(params.NeighborBound(5), 1);
-  auto report = DetectOutliersExact(ps, params);
+  auto report = DetectOutliersCellList(ps, params);
   ASSERT_TRUE(report.ok());
   // Cluster points have 3 neighbors each (> 1); 5.0 has none.
   EXPECT_EQ(report->outlier_indices, (std::vector<int64_t>{4}));
@@ -120,7 +139,7 @@ TEST(ExactDetectorTest, FindsPlantedOutliers) {
   DbOutlierParams params;
   params.radius = 0.1;
   params.max_neighbors = 5;
-  auto report = DetectOutliersExact(w.points, params);
+  auto report = DetectOutliersCellList(w.points, params);
   ASSERT_TRUE(report.ok());
   std::set<int64_t> found(report->outlier_indices.begin(),
                           report->outlier_indices.end());
@@ -132,12 +151,26 @@ TEST(ExactDetectorTest, FindsPlantedOutliers) {
 }
 
 TEST(ExactDetectorTest, ShardedCountingMatchesSequentialExactly) {
-  PlantedWorkload w = MakePlanted(3000, 6, 11);
+  // 7-D takes the kd-tree fallback, whose counting pass shards per point.
+  PlantedWorkload w = MakePlanted(3000, 6, 11, /*dim=*/7);
   DbOutlierParams params;
-  params.radius = 0.1;
+  params.radius = 0.08;
   params.max_neighbors = 5;
-  auto sequential = DetectOutliersExact(w.points, params);
+  CellListStats stats;
+  CellListDetectorOptions sequential_options;
+  sequential_options.stats = &stats;
+  auto sequential = DetectOutliersCellList(w.points, params,
+                                           sequential_options);
   ASSERT_TRUE(sequential.ok());
+  ASSERT_TRUE(stats.used_fallback);
+  // Some cloud points are outliers and some are not, so the abort and the
+  // report both matter.
+  EXPECT_GT(sequential->outlier_indices.size(), w.outlier_indices.size());
+  EXPECT_LT(sequential->outlier_indices.size(), 3000u);
+  auto oracle = DetectOutliersNestedLoop(w.points, params);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(sequential->outlier_indices, oracle->outlier_indices);
+  EXPECT_EQ(sequential->neighbor_counts, oracle->neighbor_counts);
   // 0 workers (no executor) already covered by `sequential`; 1 and 4
   // workers must produce the identical report.
   for (int workers : {1, 4}) {
@@ -146,71 +179,34 @@ TEST(ExactDetectorTest, ShardedCountingMatchesSequentialExactly) {
     pool.num_workers = workers;
     pool.min_shard = 64;  // force real sharding at this size
     parallel::BatchExecutor executor(pool);
-    ExactDetectorOptions options;
+    CellListDetectorOptions options;
     options.executor = &executor;
-    auto sharded = DetectOutliersExact(w.points, params, options);
+    auto sharded = DetectOutliersCellList(w.points, params, options);
     ASSERT_TRUE(sharded.ok());
     EXPECT_EQ(sharded->outlier_indices, sequential->outlier_indices);
     EXPECT_EQ(sharded->neighbor_counts, sequential->neighbor_counts);
     EXPECT_EQ(sharded->candidates_checked, sequential->candidates_checked);
     EXPECT_EQ(sharded->passes, sequential->passes);
   }
-}
-
-TEST(NestedLoopTest, ShardedScanMatchesSequentialExactly) {
-  PlantedWorkload w = MakePlanted(1500, 6, 12);
-  DbOutlierParams params;
-  params.radius = 0.1;
-  params.max_neighbors = 5;
-  auto sequential = DetectOutliersNestedLoop(w.points, params);
-  ASSERT_TRUE(sequential.ok());
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(workers);
-    parallel::BatchExecutorOptions pool;
-    pool.num_workers = workers;
-    pool.min_shard = 64;  // force real sharding at this size
-    parallel::BatchExecutor executor(pool);
-    ExactDetectorOptions options;
-    options.executor = &executor;
-    auto sharded = DetectOutliersNestedLoop(w.points, params, options);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded->outlier_indices, sequential->outlier_indices);
-    EXPECT_EQ(sharded->neighbor_counts, sequential->neighbor_counts);
-    EXPECT_EQ(sharded->candidates_checked, sequential->candidates_checked);
-    EXPECT_EQ(sharded->passes, sequential->passes);
-  }
-}
-
-TEST(NestedLoopTest, ShardedScanPropagatesBackpressure) {
-  PlantedWorkload w = MakePlanted(1000, 2, 15);
-  DbOutlierParams params;
-  params.radius = 0.1;
-  params.max_neighbors = 5;
-  parallel::BatchExecutorOptions pool;
-  pool.num_workers = 1;
-  pool.min_shard = 1;
-  parallel::BatchExecutor executor(pool);
-  executor.Shutdown();  // every submit now fails
-  ExactDetectorOptions options;
-  options.executor = &executor;
-  auto report = DetectOutliersNestedLoop(w.points, params, options);
-  EXPECT_FALSE(report.ok());
 }
 
 TEST(ExactDetectorTest, ShardedCountingPropagatesBackpressure) {
-  PlantedWorkload w = MakePlanted(2000, 2, 13);
+  PlantedWorkload w = MakePlanted(2000, 2, 13, /*dim=*/7);
   DbOutlierParams params;
-  params.radius = 0.1;
+  params.radius = 0.08;
   params.max_neighbors = 5;
   parallel::BatchExecutorOptions pool;
   pool.num_workers = 1;
   pool.min_shard = 1;
   parallel::BatchExecutor executor(pool);
   executor.Shutdown();  // every submit now fails
-  ExactDetectorOptions options;
+  CellListStats stats;
+  CellListDetectorOptions options;
   options.executor = &executor;
-  auto report = DetectOutliersExact(w.points, params, options);
+  options.stats = &stats;
+  auto report = DetectOutliersCellList(w.points, params, options);
   EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(stats.used_fallback);
 }
 
 TEST(BallIntegratorTest, CenterValueUsesBallVolume) {
@@ -275,6 +271,25 @@ TEST(KdeDetectorTest, RejectsBadOptions) {
   bad_qmc.qmc_samples = 0;
   EXPECT_FALSE(
       DetectOutliersApproximate(w.points, kde, params, bad_qmc).ok());
+  KdeDetectorOptions nan_slack;
+  nan_slack.candidate_slack = std::nan("");
+  EXPECT_FALSE(
+      DetectOutliersApproximate(w.points, kde, params, nan_slack).ok());
+}
+
+TEST(KdeDetectorTest, RejectsNonFiniteRadius) {
+  PlantedWorkload w = MakePlanted(500, 2, 6);
+  density::Kde kde = FitKde(w.points);
+  for (double radius :
+       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(radius);
+    DbOutlierParams params;
+    params.radius = radius;
+    auto report =
+        DetectOutliersApproximate(w.points, kde, params, KdeDetectorOptions{});
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), dbs::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(KdeDetectorTest, FindsAllPlantedOutliersInTwoPasses) {
@@ -307,7 +322,7 @@ TEST(KdeDetectorTest, MatchesExactDetectorOnPlantedData) {
   KdeDetectorOptions options;
   options.candidate_slack = 3.0;
 
-  auto exact = DetectOutliersExact(w.points, params);
+  auto exact = DetectOutliersCellList(w.points, params);
   auto approx = DetectOutliersApproximate(w.points, kde, params, options);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(approx.ok());
@@ -327,7 +342,7 @@ TEST(KdeDetectorTest, ReportedNeighborCountsAreExact) {
   KdeDetectorOptions options;
   options.candidate_slack = 5.0;
   auto approx = DetectOutliersApproximate(w.points, kde, params, options);
-  auto exact = DetectOutliersExact(w.points, params);
+  auto exact = DetectOutliersCellList(w.points, params);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(approx->neighbor_counts, exact->neighbor_counts);
@@ -391,6 +406,17 @@ TEST(EstimateOutlierCountTest, TracksTrueCount) {
   // One pass, no verification: the estimate lands near the planted count.
   EXPECT_GE(*estimate, 15);
   EXPECT_LE(*estimate, 15 + 40);
+}
+
+TEST(EstimateOutlierCountTest, RejectsNanRadius) {
+  PlantedWorkload w = MakePlanted(500, 2, 14);
+  density::Kde kde = FitKde(w.points);
+  DbOutlierParams params;
+  params.radius = std::nan("");
+  auto estimate =
+      EstimateOutlierCount(w.points, kde, params, KdeDetectorOptions{});
+  ASSERT_FALSE(estimate.ok());
+  EXPECT_EQ(estimate.status().code(), dbs::StatusCode::kInvalidArgument);
 }
 
 TEST(EstimateOutlierCountTest, GrowsAsRadiusShrinks) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,9 +26,11 @@
 #include "outlier/ball_integration.h"
 #include "parallel/batch_executor.h"
 #include "serve/client.h"
+#include "serve/dispatch.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "serve/wire.h"
 #include "test_temp.h"
 #include "util/rng.h"
 
@@ -411,6 +414,31 @@ TEST_F(ServeE2eTest, FinishedConnectionThreadsAreReaped) {
   // The server still serves.
   serve::Client client = ConnectOrDie();
   EXPECT_TRUE(client.Stats().ok());
+}
+
+TEST_F(ServeE2eTest, NanRadiusOutlierFrameIsAnErrorNotAnAbort) {
+  // dbsd dispatches every frame through DispatchFrame, so a hostile radius
+  // must come back as an ordinary error frame, not end the process.
+  ASSERT_TRUE(registry_.LoadKdeFile("est", model_path_).ok());
+  serve::OutlierScoreBatchRequest request;
+  request.model = "est";
+  request.radius = std::nan("");
+  request.points = MakePoints(3, 50);
+  serve::Frame frame{serve::MessageType::kOutlierRequest,
+                     serve::EncodeOutlierRequest(request)};
+  serve::DispatchResult result = serve::DispatchFrame(service_.get(), frame);
+  EXPECT_EQ(result.response.type, serve::MessageType::kErrorResponse);
+  EXPECT_EQ(serve::DecodeErrorResponse(result.response.payload).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(result.close);
+  EXPECT_FALSE(result.shutdown);
+
+  // The same service answers a valid request afterwards.
+  request.radius = 0.5;
+  frame.payload = serve::EncodeOutlierRequest(request);
+  result = serve::DispatchFrame(service_.get(), frame);
+  EXPECT_EQ(result.response.type, serve::MessageType::kOutlierResponse);
+  EXPECT_FALSE(result.close);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // file and the printed report; higher shard counts run successfully and
 // stay worker-count invariant.
 
+#include <sys/wait.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -172,6 +174,19 @@ TEST_F(ToolsShardSmokeTest, OutliersRejectsShardsOnExactMode) {
       RunTool(DBS_OUTLIERS_BIN,
               "in=" + input_ + " mode=exact shards=2", sink + ".txt"),
       0);
+}
+
+TEST_F(ToolsShardSmokeTest, OutliersRejectsBadModeAndParamsBeforeIo) {
+  // A bad flag exits 2 before the tool opens its input: a missing input
+  // alone would exit 1.
+  const std::string sink = TempPath("outl_bad_flag");
+  const std::string missing = "in=" + TempPath("missing.dbsf");
+  for (const char* bad : {" mode=bogus", " k=nan", " k=-1", " p=-1"}) {
+    SCOPED_TRACE(bad);
+    const int status = RunTool(DBS_OUTLIERS_BIN, missing + bad, sink + ".txt");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
 }
 
 }  // namespace

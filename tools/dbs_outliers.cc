@@ -1,15 +1,14 @@
 // dbs_outliers — DB(p,k)-outlier detection over a .dbsf file.
 //
 //   dbs_outliers in=data.dbsf [k=0.05] [p=5] [metric=l2|l1|linf]
-//                [mode=approx|exact|estimate] [exact_algo=kd|cell|nested]
+//                [mode=approx|exact|estimate]
 //                [kernels=1000] [bandwidth_scale=0.25] [slack=5] [seed=1]
 //                [shards=1] [workers=0]
 //
 // approx:   the paper's two-pass detector (+ one estimator pass).
-// exact:    exact baseline (loads the file into memory); exact_algo picks
-//           the kd-tree (default), cell-list or nested-loop detector, all
-//           byte-identical. workers=W shards the counting pass. The
-//           cell-list run appends prune-statistic lines after the report.
+// exact:    exact baseline (loads the file into memory): the cell-list
+//           detector (DESIGN.md §16). workers=W shards the counting pass.
+//           A prune-statistic line follows the report rows.
 // estimate: one-pass outlier-count estimate only (for exploring p and k).
 //
 // shards=N runs the estimator fit and the approx detector through the
@@ -25,7 +24,6 @@
 #include "data/dataset_io.h"
 #include "density/kde.h"
 #include "outlier/cell_list.h"
-#include "outlier/exact_detector.h"
 #include "outlier/kde_detector.h"
 #include "parallel/batch_executor.h"
 #include "shard/coordinator.h"
@@ -39,9 +37,6 @@ int main(int argc, char** argv) {
   int64_t p = flags.GetInt("p", 5);
   std::string metric_name = flags.GetString("metric", "l2");
   std::string mode = flags.GetString("mode", "approx");
-  // Empty default doubles as "not set": exact_algo is only meaningful with
-  // mode=exact, and an explicit value must be validated even there.
-  std::string exact_algo = flags.GetString("exact_algo", "");
   int64_t kernels = flags.GetInt("kernels", 1000);
   double bandwidth_scale = flags.GetDouble("bandwidth_scale", 0.25);
   double slack = flags.GetDouble("slack", 5.0);
@@ -53,9 +48,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: dbs_outliers in=data.dbsf [k=] [p=] "
                  "[metric=l2|l1|linf] [mode=approx|exact|estimate] "
-                 "[exact_algo=kd|cell|nested] "
                  "[kernels=] [bandwidth_scale=] [slack=] [seed=] "
                  "[shards=1] [workers=0]\n");
+    return 2;
+  }
+  if (mode != "approx" && mode != "exact" && mode != "estimate") {
+    std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 2;
   }
   if (shards < 1) {
@@ -64,21 +62,6 @@ int main(int argc, char** argv) {
   }
   if (shards > 1 && mode == "exact") {
     std::fprintf(stderr, "mode 'exact' does not support shards > 1\n");
-    return 2;
-  }
-  if (!exact_algo.empty() && mode != "exact") {
-    std::fprintf(stderr,
-                 "invalid argument: exact_algo requires mode=exact "
-                 "(got mode '%s')\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (!exact_algo.empty() && exact_algo != "kd" && exact_algo != "cell" &&
-      exact_algo != "nested") {
-    std::fprintf(stderr,
-                 "invalid argument: unknown exact_algo '%s' "
-                 "(expected kd, cell or nested)\n",
-                 exact_algo.c_str());
     return 2;
   }
   if (workers < 0) {
@@ -99,6 +82,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown metric '%s'\n", metric_name.c_str());
     return 2;
   }
+  const dbs::Status valid = dbs::outlier::ValidateDbOutlierParams(params);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
+  }
 
   if (mode == "exact") {
     auto points = dbs::data::ReadDatasetFile(in);
@@ -114,24 +102,11 @@ int main(int argc, char** argv) {
       pool = std::make_unique<dbs::parallel::BatchExecutor>(pool_opts);
     }
     dbs::outlier::CellListStats stats;
-    dbs::Result<dbs::outlier::OutlierReport> report =
-        dbs::Status::InvalidArgument("unreachable");
-    if (exact_algo == "cell") {
-      dbs::outlier::CellListDetectorOptions cell_opts;
-      cell_opts.executor = pool.get();
-      cell_opts.stats = &stats;
-      report = dbs::outlier::DetectOutliersCellList(*points, params,
-                                                    cell_opts);
-    } else if (exact_algo == "nested") {
-      dbs::outlier::ExactDetectorOptions exact_opts;
-      exact_opts.executor = pool.get();
-      report = dbs::outlier::DetectOutliersNestedLoop(*points, params,
-                                                      exact_opts);
-    } else {  // kd (the default when exact_algo is unset)
-      dbs::outlier::ExactDetectorOptions exact_opts;
-      exact_opts.executor = pool.get();
-      report = dbs::outlier::DetectOutliersExact(*points, params, exact_opts);
-    }
+    dbs::outlier::CellListDetectorOptions cell_opts;
+    cell_opts.executor = pool.get();
+    cell_opts.stats = &stats;
+    auto report =
+        dbs::outlier::DetectOutliersCellList(*points, params, cell_opts);
     if (!report.ok()) {
       std::fprintf(stderr, "detection failed: %s\n",
                    report.status().ToString().c_str());
@@ -145,21 +120,17 @@ int main(int argc, char** argv) {
                   static_cast<long long>(report->outlier_indices[i]),
                   static_cast<long long>(report->neighbor_counts[i]));
     }
-    // Prune statistics go AFTER the rows so every pre-existing line of the
-    // exact-mode output is byte-unchanged.
-    if (exact_algo == "cell") {
-      if (stats.used_fallback) {
-        std::printf("  cell-list: kd-tree fallback\n");
-      } else {
-        std::printf(
-            "  cell-list: cells %lld occupied %lld dense_pruned %lld "
-            "sparse_pruned %lld pairwise %lld\n",
-            static_cast<long long>(stats.grid_cells),
-            static_cast<long long>(stats.occupied_cells),
-            static_cast<long long>(stats.cells_dense_pruned),
-            static_cast<long long>(stats.cells_sparse_pruned),
-            static_cast<long long>(stats.pairwise_evaluated));
-      }
+    if (stats.used_fallback) {
+      std::printf("  cell-list: kd-tree fallback\n");
+    } else {
+      std::printf(
+          "  cell-list: cells %lld occupied %lld dense_pruned %lld "
+          "sparse_pruned %lld pairwise %lld\n",
+          static_cast<long long>(stats.grid_cells),
+          static_cast<long long>(stats.occupied_cells),
+          static_cast<long long>(stats.cells_dense_pruned),
+          static_cast<long long>(stats.cells_sparse_pruned),
+          static_cast<long long>(stats.pairwise_evaluated));
     }
     return 0;
   }
@@ -220,10 +191,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p), k,
                 static_cast<long long>(*estimate), 1 + scan.passes());
     return 0;
-  }
-  if (mode != "approx") {
-    std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-    return 2;
   }
 
   auto report = coordinator.DetectOutliers(*kde, params, options);
