@@ -14,15 +14,18 @@
 // is checked bitwise against the scalar series (the paths promise identical
 // output); mismatches are counted and reported.
 //
-// Output: a table on stdout plus machine-readable JSON in the shape of
-// BENCH_serve_throughput.json (BENCH_micro_kde.json, override with out=).
+// Output: a table on stdout, headed by the kernel block clone the batch
+// paths ran (density/kernel_block.h), plus machine-readable JSON in the
+// shape of BENCH_serve_throughput.json (BENCH_micro_kde.json, override with
+// out=; an empty out= writes none), stamped with nproc, compiler, build
+// type, that clone and the git_sha= passed in.
 //
 // index= selects the series: `all` (default) runs the four above, `grid`
 // / `brute` just that pair.
 //
 //   micro_kde [queries=20000] [data_points=50000] [reps=3]
 //             [threads=1,2,4,8] [index=all|grid|brute]
-//             [out=BENCH_micro_kde.json]
+//             [git_sha=unavailable] [out=BENCH_micro_kde.json]
 
 #include <chrono>
 #include <cstdio>
@@ -30,7 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_meta.h"
 #include "density/kde.h"
+#include "density/kernel_block.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
 #include "tools/flags.h"
@@ -123,15 +128,17 @@ void PrintRow(const SeriesResult& r) {
               static_cast<long long>(r.mismatches));
 }
 
-void WriteJson(const std::string& path, int64_t queries, int reps,
+void WriteJson(const std::string& path, const std::string& git_sha,
+               int64_t queries, int reps,
                const std::vector<SeriesResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
+  std::fprintf(f, "{\n  \"bench\": \"micro_kde\",\n");
+  dbs::bench::WriteBenchMeta(f, git_sha);
   std::fprintf(f,
-               "{\n  \"bench\": \"micro_kde\",\n"
                "  \"queries\": %lld,\n  \"reps\": %d,\n  \"results\": [\n",
                static_cast<long long>(queries), reps);
   for (size_t i = 0; i < results.size(); ++i) {
@@ -161,6 +168,7 @@ int main(int argc, char** argv) {
   int reps = static_cast<int>(flags.GetInt("reps", 3));
   std::string threads_spec = flags.GetString("threads", "1,2,4,8");
   std::string index = flags.GetString("index", "all");
+  std::string git_sha = flags.GetString("git_sha", "unavailable");
   std::string out = flags.GetString("out", "BENCH_micro_kde.json");
   if (!flags.AllKnown()) return 2;
   DBS_CHECK(queries > 0 && data_points > 0 && reps > 0);
@@ -179,8 +187,9 @@ int main(int argc, char** argv) {
   const Config kConfigs[] = {{2, 100}, {2, 1000}, {2, 4000}, {5, 1000}};
   const Config kHeadline = {2, 1000};
 
-  std::printf("micro_kde: %lld queries, best of %d reps\n\n",
-              static_cast<long long>(queries), reps);
+  std::printf("micro_kde: %lld queries, best of %d reps, kernel_isa %s\n\n",
+              static_cast<long long>(queries), reps,
+              dbs::density::ActiveKernelTileClone().isa);
   std::printf("%16s %4s %8s %8s %10s %14s %10s %10s\n", "series", "dim",
               "kernels", "threads", "seconds", "points_per_sec", "speedup",
               "mismatch");
@@ -285,6 +294,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: %lld batch results differ from scalar\n",
                  static_cast<long long>(total_mismatches));
   }
-  if (!out.empty()) WriteJson(out, queries, reps, results);
+  if (!out.empty()) WriteJson(out, git_sha, queries, reps, results);
   return total_mismatches > 0 ? 1 : 0;
 }

@@ -57,12 +57,12 @@ class GridDensity final : public DensityEstimator {
   double EvaluateExcluding(data::PointView x,
                            data::PointView self) const override;
 
-  // Cell-sorted batch overrides, mirroring the Kde flat-table design
-  // (kde.h): queries are sorted by bucket id so each bucket group pays for
-  // its count lookup and count/cell_volume_ division ONCE instead of per
-  // point. Identical operands give identical doubles, so results stay
-  // bitwise equal to the scalar calls; same executor/backpressure contract
-  // as the base class.
+  // Cell-sorted batch overrides: queries are sorted by bucket id so each
+  // bucket group pays for its count lookup and count/cell_volume_ division
+  // ONCE instead of per point (the idea behind Kde's cell-grouped batches,
+  // kde.h, which group with a hash table instead of a sort). Identical
+  // operands give identical doubles, so results stay bitwise equal to the
+  // scalar calls; same executor/backpressure contract as the base class.
   [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count, double* out,
                        parallel::BatchExecutor* executor =
                            nullptr) const override;

@@ -179,6 +179,13 @@ inline bool MatchesExclude(const double* c, data::PointView exclude, int d) {
   return true;
 }
 
+inline bool SameCell(const int64_t* a, const int64_t* b, int d) {
+  for (int j = 0; j < d; ++j) {
+    if (a[j] != b[j]) return false;
+  }
+  return true;
+}
+
 // Collects the deduplicated neighbor-bucket keys of `base` in ascending
 // order — the canonical bucket-visit order. Returns the key count.
 inline int NeighborKeys(const int64_t* base, const int64_t* offsets,
@@ -315,17 +322,14 @@ double Kde::SumTile(const double* p, const double* soa, int64_t tile,
                     const double* exclude) const {
   // The arithmetic lives in density/kernel_block.h, the frozen per-pair
   // order every batch path shares (DESIGN.md §9).
-  return SumKernelProductTile(kernel_, dim(), p, inv_bandwidths_.data(), soa,
-                              tile, exclude);
+  return sum_tile_(kernel_, dim(), p, inv_bandwidths_.data(), soa, tile,
+                   exclude);
 }
 
 void Kde::BatchRangeIndexed(const double* rows, const double* selves,
                             int64_t begin, int64_t end, double* out) const {
   const int d = dim();
   const int64_t n = end - begin;
-  // Sort the range's points into grid cells so each cell group pays for its
-  // neighborhood gather once. Per-point results are order-independent, so
-  // regrouping is invisible in the output.
   std::vector<int64_t> cells(static_cast<size_t>(n) * d);
   for (int64_t i = 0; i < n; ++i) {
     const double* p = rows + (begin + i) * d;
@@ -334,55 +338,63 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
           static_cast<int64_t>(std::floor(p[j] / cell_extent_[j]));
     }
   }
-  // Sort key: the cell hash, with the exact coordinates as a tiebreak so
-  // hash-colliding cells still land in distinct groups. The hash compare
-  // settles almost every comparison with one load instead of a d-loop.
-  std::vector<uint64_t> hashes(static_cast<size_t>(n));
+  // Group the range's points by grid cell so each group pays for its
+  // neighborhood gather once, in linear time: an open-addressed table of
+  // the distinct cells (at least 2n slots, so at most half full), keyed by
+  // the cell hash and confirmed by an exact coordinate compare so that
+  // cells whose hashes collide stay separate groups; then a counting
+  // scatter into `order`. A point's sum depends only on its own cell's
+  // tile, so neither the grouping nor the order of the groups can show in
+  // the output.
+  uint64_t slots = 1;
+  while (slots < 2 * static_cast<uint64_t>(n)) slots <<= 1;
+  const uint64_t mask = slots - 1;
+  // Each slot holds a group id, or -1 while empty.
+  std::vector<int64_t> slot_group(static_cast<size_t>(slots), -1);
+  std::vector<uint64_t> group_hash;
+  std::vector<int64_t> group_point;  // a member point, whose cell is the base
+  std::vector<int64_t> group_of(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    hashes[static_cast<size_t>(i)] =
-        HashCell(cells.data() + static_cast<size_t>(i) * d, d);
-  }
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const uint64_t ha = hashes[static_cast<size_t>(a)];
-    const uint64_t hb = hashes[static_cast<size_t>(b)];
-    if (ha != hb) return ha < hb;
-    const int64_t* ca = cells.data() + static_cast<size_t>(a) * d;
-    const int64_t* cb = cells.data() + static_cast<size_t>(b) * d;
-    for (int j = 0; j < d; ++j) {
-      if (ca[j] != cb[j]) return ca[j] < cb[j];
+    const int64_t* c = cells.data() + static_cast<size_t>(i) * d;
+    const uint64_t h = HashCell(c, d);
+    uint64_t s = h & mask;
+    int64_t g = slot_group[s];
+    while (g >= 0 &&
+           !(group_hash[g] == h &&
+             SameCell(cells.data() + static_cast<size_t>(group_point[g]) * d,
+                      c, d))) {
+      s = (s + 1) & mask;
+      g = slot_group[s];
     }
-    return false;
-  });
+    if (g < 0) {
+      g = static_cast<int64_t>(group_hash.size());
+      slot_group[s] = g;
+      group_hash.push_back(h);
+      group_point.push_back(i);
+    }
+    group_of[i] = g;
+  }
+  const int64_t num_groups = static_cast<int64_t>(group_hash.size());
+  std::vector<int64_t> group_begin(static_cast<size_t>(num_groups) + 1, 0);
+  for (int64_t i = 0; i < n; ++i) ++group_begin[group_of[i] + 1];
+  for (int64_t g = 0; g < num_groups; ++g) {
+    group_begin[g + 1] += group_begin[g];
+  }
+  std::vector<int64_t> cursor(group_begin.begin(), group_begin.end() - 1);
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) order[cursor[group_of[i]]++] = i;
 
   TileScratch scratch;
-  int64_t g = 0;
-  while (g < n) {
-    const int64_t* base = cells.data() + static_cast<size_t>(order[g]) * d;
-    int64_t h = g + 1;
-    while (h < n) {
-      const int64_t* c = cells.data() + static_cast<size_t>(order[h]) * d;
-      bool same = true;
-      for (int j = 0; j < d; ++j) {
-        if (c[j] != base[j]) {
-          same = false;
-          break;
-        }
-      }
-      if (!same) break;
-      ++h;
+  for (int64_t g = 0; g < num_groups; ++g) {
+    const int64_t tile = GatherTile(
+        cells.data() + static_cast<size_t>(group_point[g]) * d, &scratch);
+    for (int64_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
+      const int64_t i = begin + order[k];
+      const double sum =
+          SumTile(rows + i * d, scratch.soa.data(), tile,
+                  selves != nullptr ? selves + i * d : nullptr);
+      out[i] = norm_factor_ * sum;
     }
-    const int64_t tile = GatherTile(base, &scratch);
-    for (int64_t k = g; k < h; ++k) {
-      const int64_t i = order[k];
-      const double* p = rows + (begin + i) * d;
-      const double sum = SumTile(
-          p, scratch.soa.data(), tile,
-          selves != nullptr ? selves + (begin + i) * d : nullptr);
-      out[begin + i] = norm_factor_ * sum;
-    }
-    g = h;
   }
 }
 
@@ -499,6 +511,7 @@ Result<Kde> Kde::FromState(State state, bool rebuild_index) {
   kde.norm_factor_ = static_cast<double>(kde.n_) /
                      static_cast<double>(kde.centers_.size()) * inv_h_prod;
   kde.support_radius_ = KernelSupportRadius(kde.kernel_);
+  kde.sum_tile_ = ActiveKernelTileClone().sum;
   kde.BuildSoA();
   if (rebuild_index && dim <= kMaxIndexDim) {
     kde.BuildIndex();

@@ -22,11 +22,14 @@
 //     chasing unordered_map nodes, and the {-1,0,1}^d neighbor-offset
 //     pattern is precomputed once at BuildIndex time instead of being
 //     re-enumerated per evaluation.
-//   * EvaluateBatch sorts query points by grid cell, gathers each cell
-//     group's neighborhood once into a contiguous SoA tile (dim × tile
-//     arrays) and runs a branch-light, auto-vectorizable product-kernel
-//     loop over it — bitwise identical to per-point Evaluate, per-point
-//     independent, and therefore shardable across executor workers.
+//   * EvaluateBatch groups query points by grid cell in linear time (a
+//     hash table of the batch's cells, then a counting scatter), gathers
+//     each cell group's neighborhood once into a contiguous SoA tile
+//     (dim × tile arrays) and runs the frozen product-kernel block loop
+//     over it, through the widest ISA clone of that loop the host CPU
+//     supports (density/kernel_block.h) — bitwise identical to per-point
+//     Evaluate, per-point independent, and therefore shardable across
+//     executor workers.
 
 #ifndef DBS_DENSITY_KDE_H_
 #define DBS_DENSITY_KDE_H_
@@ -40,6 +43,7 @@
 #include "density/bandwidth.h"
 #include "density/density_estimator.h"
 #include "density/kernel.h"
+#include "density/kernel_block.h"
 #include "util/shard.h"
 #include "util/status.h"
 
@@ -158,8 +162,9 @@ class Kde final : public DensityEstimator {
   // Gathers the 3^d-neighborhood of `base_cell` into scratch (center
   // indices + SoA tile) in the canonical visit order; returns tile size.
   int64_t GatherTile(const int64_t* base_cell, TileScratch* scratch) const;
-  // Ordered kernel-product sum of `p` against a SoA tile; `exclude` is the
-  // coordinates of a center to skip (nullptr = none).
+  // Ordered kernel-product sum of `p` against a SoA tile through the
+  // chosen ISA clone; `exclude` is the coordinates of a center to skip
+  // (nullptr = none).
   double SumTile(const double* p, const double* soa, int64_t tile,
                  const double* exclude) const;
   // `selves` is a parallel row-major array of exclusion points (nullptr =
@@ -181,6 +186,9 @@ class Kde final : public DensityEstimator {
   std::vector<double> inv_bandwidths_;  // 1/h_j
   double norm_factor_ = 0.0;            // (n/m) * prod_j (1/h_j)
   data::BoundingBox bounds_;
+  // The kernel block clone for this host's CPU, picked once in FromState
+  // (ActiveKernelTileClone); every clone returns the same bits.
+  KernelTileFn sum_tile_ = nullptr;
 
   // Grid index over centers. Cell extent along j = support_radius * h_j.
   // The index is a flat open-addressed table: a cell's centers occupy

@@ -1,12 +1,13 @@
 // The frozen per-pair kernel block loop shared by every tuned KDE path.
 //
 // SumKernelProductTile is THE summation kernel the bitwise-reproducibility
-// guarantees rest on: Kde's cell-sorted and brute batch paths (DESIGN.md
+// guarantees rest on: Kde's cell-grouped and brute batch paths (DESIGN.md
 // §9) both sum a point against an SoA center tile through this one
 // function, so "both paths use the same per-pair arithmetic in the same
-// order" is true by construction, not by parallel maintenance. Its include list is pinned in
-// tools/lint/layers.txt; treat the arithmetic as frozen — any change here
-// changes every density byte in the system.
+// order" is true by construction, not by parallel maintenance. They call it
+// through one of the ISA clones declared at the end of this file. Its
+// include list is pinned in tools/lint/layers.txt; treat the arithmetic as
+// frozen — any change here changes every density byte in the system.
 //
 // Contract: the tile is summed in ascending tile order, products are taken
 // in dimension order, and the accumulator is a single double. A zero kernel
@@ -36,11 +37,11 @@ inline constexpr int64_t kKernelTileBlock = 256;
 // center tile (`soa` holds dim arrays of length `tile`). `exclude` is the
 // coordinates of a center to skip (nullptr = none); a center is excluded
 // only when its product is nonzero and every coordinate matches bitwise.
-inline double SumKernelProductTile(KernelType kernel, int dim,
-                                   const double* p,
-                                   const double* inv_bandwidths,
-                                   const double* soa, int64_t tile,
-                                   const double* exclude) {
+// Always inlined, so that each ISA clone in kernel_block.cc compiles its own
+// copy under its own target attribute instead of calling a baseline one.
+[[gnu::always_inline]] inline double SumKernelProductTile(
+    KernelType kernel, int dim, const double* p, const double* inv_bandwidths,
+    const double* soa, int64_t tile, const double* exclude) {
   const int d = dim;
   double prod[kKernelTileBlock];
   double sum = 0.0;
@@ -101,6 +102,49 @@ inline double SumKernelProductTile(KernelType kernel, int dim,
   }
   return sum;
 }
+
+// ISA clones (kernel_block.cc). The body above is compiled once for the
+// baseline ISA and, on x86-64, once more under target("arch=x86-64-v4")
+// (AVX-512, FMA). A wider vector cannot change a result: -ffp-contract=off
+// keeps FMA contraction out of every clone, each per-term operation rounds
+// the same at any width, and the accumulator stays one serial chain in tile
+// order. So every clone returns the baseline clone's bits, which
+// tests/density_kernel_clone_test.cc checks with memcmp on every clone the
+// host can run.
+using KernelTileFn = double (*)(KernelType kernel, int dim, const double* p,
+                                const double* inv_bandwidths,
+                                const double* soa, int64_t tile,
+                                const double* exclude);
+
+double SumKernelProductTileBaseline(KernelType kernel, int dim,
+                                    const double* p,
+                                    const double* inv_bandwidths,
+                                    const double* soa, int64_t tile,
+                                    const double* exclude);
+#if defined(__x86_64__)
+__attribute__((target("arch=x86-64-v4"))) double SumKernelProductTileV4(
+    KernelType kernel, int dim, const double* p, const double* inv_bandwidths,
+    const double* soa, int64_t tile, const double* exclude);
+#endif
+
+struct KernelTileClone {
+  const char* isa;  // "x86-64-v4", "x86-64"; "generic" elsewhere
+  KernelTileFn sum;
+};
+
+inline constexpr int kMaxKernelTileClones = 2;
+
+// The clones this host's CPU can run, widest first. The baseline clone is
+// always present, and always last.
+struct KernelTileClones {
+  int count = 0;
+  KernelTileClone clone[kMaxKernelTileClones] = {};
+};
+KernelTileClones HostKernelTileClones();
+
+// The widest clone this host can run: the one Kde::FromState picks for every
+// estimator. No option selects another.
+KernelTileClone ActiveKernelTileClone();
 
 }  // namespace dbs::density
 

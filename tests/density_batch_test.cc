@@ -241,6 +241,66 @@ TEST(DensityBatchEdgeTest, EmptyBatchSucceeds) {
       kde->EvaluateExcludingBatch(data.flat().data(), 0, &unused).ok());
 }
 
+// Kde::BatchRangeIndexed groups a batch's rows by grid cell through an
+// open-addressed table. With one row per cell the table holds as many
+// cells as rows, the most its 2n or more slots ever hold, so lookups run
+// into other cells' slots and must tell the cells apart.
+TEST(DensityBatchEdgeTest, EveryRowInItsOwnCellMatchesScalar) {
+  for (int dim : {2, 3}) {
+    data::PointSet data = MakeData(dim, 4000, 18);
+    // Epanechnikov support is 1, so a cell is one bandwidth wide; a query
+    // at each cell center of a lattice over [0, 1]^dim is its cell's only
+    // row.
+    const int64_t per_dim = dim == 2 ? 50 : 10;
+    const double extent = 1.0 / static_cast<double>(per_dim);
+    KdeOptions opts;
+    opts.num_kernels = 400;
+    opts.seed = 5;
+    opts.bandwidth_rule = BandwidthRule::kFixed;
+    opts.fixed_bandwidth = extent;
+    auto kde = Kde::Fit(data, opts);
+    ASSERT_TRUE(kde.ok());
+    int64_t cells = 1;
+    for (int j = 0; j < dim; ++j) cells *= per_dim;
+    data::PointSet queries(dim);
+    std::vector<double> q(static_cast<size_t>(dim));
+    for (int64_t c = 0; c < cells; ++c) {
+      int64_t rest = c;
+      for (int j = 0; j < dim; ++j) {
+        q[j] = (static_cast<double>(rest % per_dim) + 0.5) * extent;
+        rest /= per_dim;
+      }
+      queries.Append(data::PointView(q.data(), dim));
+    }
+    ASSERT_GE(queries.size(), 1000);
+    CheckEstimator(*kde, queries);
+  }
+}
+
+// The other extreme: thousands of rows in a handful of cells, each cell a
+// large group, on 0, 1 and 4 workers (CheckEstimator). The rows are kernel
+// centers and tiny perturbations of them, so leave-one-out drops terms.
+TEST(DensityBatchEdgeTest, ManyRowsInFewCellsMatchScalar) {
+  data::PointSet data = MakeData(2, 4000, 19);
+  KdeOptions opts;
+  opts.num_kernels = 300;
+  opts.seed = 6;
+  auto kde = Kde::Fit(data, opts);
+  ASSERT_TRUE(kde.ok());
+  data::PointSet queries(2);
+  Rng rng(41);
+  for (int64_t i = 0; i < 3000; ++i) {
+    data::PointView anchor = kde->centers()[(i % 3) * 97];
+    double q[2] = {anchor[0], anchor[1]};
+    if (i >= 3) {
+      q[0] += 1e-6 * (rng.NextDouble() - 0.5);
+      q[1] += 1e-6 * (rng.NextDouble() - 0.5);
+    }
+    queries.Append(data::PointView(q, 2));
+  }
+  CheckEstimator(*kde, queries);
+}
+
 TEST(DensityBatchEdgeTest, RoundTrippedKdeKeepsTheContract) {
   // FromState rebuilds the index and SoA layout from a serialized snapshot;
   // the batch contract must survive the round trip.
