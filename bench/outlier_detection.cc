@@ -21,7 +21,16 @@
 // workers= on a clustered workload, checks every report field against the
 // nested-loop oracle, emits JSON rows with the prune statistics and exits
 // nonzero on any mismatch — CI runs this as the regression gate for the
-// detector's identical-report contract.
+// detector's identical-report contract. Each case also runs the
+// approximate detector (DetectOutliersApproximate, scoring on the same
+// workers) and fails unless every approximate outlier is an exact outlier
+// with the same neighbor count; the candidate count it prints shows how
+// much that check covered (a case with no candidates checks nothing).
+//
+// mode=paper checks every approximate report the same way: its precision
+// column is measured against the exact report, and the bench exits nonzero
+// when an approximate outlier is missing from the exact report or carries
+// a different neighbor count.
 //
 //   outlier_detection [mode=paper] [points=40000] [queries=4000]
 //                     [qmc_samples=64] [reps=3] [threads=4]
@@ -32,6 +41,7 @@
 // mode=exact's JSON is stamped with nproc, compiler, build type and the
 // git_sha= passed in.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -234,6 +244,24 @@ bool ParseIntList(const std::string& spec, std::vector<int>* out) {
   return !out->empty();
 }
 
+// Approximate outliers that are NOT exact outliers with the same neighbor
+// count. Both reports list outliers in ascending row order.
+int64_t CountUnconfirmed(const dbs::outlier::OutlierReport& approx,
+                         const dbs::outlier::OutlierReport& exact) {
+  const std::vector<int64_t>& idx = exact.outlier_indices;
+  int64_t bad = 0;
+  for (size_t i = 0; i < approx.outlier_indices.size(); ++i) {
+    auto it = std::lower_bound(idx.begin(), idx.end(),
+                               approx.outlier_indices[i]);
+    if (it == idx.end() || *it != approx.outlier_indices[i] ||
+        exact.neighbor_counts[static_cast<size_t>(it - idx.begin())] !=
+            approx.neighbor_counts[i]) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
 // Field-by-field report comparison; any difference in the outlier set, the
 // per-outlier counts, candidates_checked or passes counts as one mismatch
 // per differing field (sizes differing count the whole field once).
@@ -254,6 +282,10 @@ struct ExactSeries {
   double speedup_vs_seq = 0.0;  // vs this dim's workers=0 row
   int64_t mismatches = 0;
   dbs::outlier::CellListStats stats;
+  // The approximate detector on the same case: candidates it verified and
+  // outliers it reported that the exact report does not confirm.
+  int64_t approx_candidates = 0;
+  int64_t approx_unconfirmed = 0;
 };
 
 void WriteExactJson(const std::string& path, const std::string& git_sha,
@@ -279,7 +311,8 @@ void WriteExactJson(const std::string& path, const std::string& git_sha,
         "\"mismatches\": %lld, \"grid_cells\": %lld, "
         "\"occupied_cells\": %lld, \"cells_dense_pruned\": %lld, "
         "\"cells_sparse_pruned\": %lld, \"pairwise_evaluated\": %lld, "
-        "\"used_fallback\": %s}%s\n",
+        "\"used_fallback\": %s, \"approx_candidates\": %lld, "
+        "\"approx_unconfirmed\": %lld}%s\n",
         r.dim, r.workers, r.seconds, r.speedup_vs_seq,
         static_cast<long long>(r.mismatches),
         static_cast<long long>(r.stats.grid_cells),
@@ -288,6 +321,8 @@ void WriteExactJson(const std::string& path, const std::string& git_sha,
         static_cast<long long>(r.stats.cells_sparse_pruned),
         static_cast<long long>(r.stats.pairwise_evaluated),
         r.stats.used_fallback ? "true" : "false",
+        static_cast<long long>(r.approx_candidates),
+        static_cast<long long>(r.approx_unconfirmed),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -309,16 +344,18 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
               static_cast<long long>(points),
               static_cast<long long>(params.max_neighbors), params.radius,
               reps);
-  std::printf("%4s %8s %10s %9s %9s %7s %7s %11s %9s\n", "dim", "workers",
-              "seconds", "speedup", "mismatch", "dense", "sparse", "pairwise",
-              "fallback");
+  std::printf("%4s %8s %10s %9s %9s %7s %7s %11s %9s %11s %12s\n", "dim",
+              "workers", "seconds", "speedup", "mismatch", "dense", "sparse",
+              "pairwise", "fallback", "candidates", "unconfirmed");
 
   std::vector<ExactSeries> results;
   int64_t total_bad = 0;
+  int64_t total_unconfirmed = 0;
   for (int dim : dims) {
     Workload w = MakeClusteredWorkload(points, 61, dim);
     auto reference = dbs::outlier::DetectOutliersNestedLoop(w.points, params);
     DBS_CHECK(reference.ok());
+    dbs::density::Kde kde = FitSharpKde(w.points);
     double seq_seconds = 0.0;
     for (int workers : worker_counts) {
       std::unique_ptr<dbs::parallel::BatchExecutor> pool;
@@ -341,6 +378,15 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
         DBS_CHECK(r.ok());
         report = std::move(r).value();
       });
+      dbs::outlier::KdeDetectorOptions approx_options;
+      approx_options.candidate_slack = 5.0;
+      approx_options.executor = pool.get();
+      auto approx = dbs::outlier::DetectOutliersApproximate(
+          w.points, kde, params, approx_options);
+      DBS_CHECK(approx.ok());
+      series.approx_candidates = approx->candidates_checked;
+      series.approx_unconfirmed = CountUnconfirmed(*approx, *reference);
+      total_unconfirmed += series.approx_unconfirmed;
       if (pool != nullptr) pool->Shutdown();
       if (workers == 0) seq_seconds = series.seconds;
       series.speedup_vs_seq = seq_seconds > 0 && series.seconds > 0
@@ -348,13 +394,16 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
                                   : 0.0;
       series.mismatches = CountReportMismatches(report, *reference);
       total_bad += series.mismatches;
-      std::printf("%4d %8d %10.4f %8.2fx %9lld %7lld %7lld %11lld %9s\n",
-                  dim, workers, series.seconds, series.speedup_vs_seq,
-                  static_cast<long long>(series.mismatches),
-                  static_cast<long long>(series.stats.cells_dense_pruned),
-                  static_cast<long long>(series.stats.cells_sparse_pruned),
-                  static_cast<long long>(series.stats.pairwise_evaluated),
-                  series.stats.used_fallback ? "yes" : "no");
+      std::printf(
+          "%4d %8d %10.4f %8.2fx %9lld %7lld %7lld %11lld %9s %11lld %12lld\n",
+          dim, workers, series.seconds, series.speedup_vs_seq,
+          static_cast<long long>(series.mismatches),
+          static_cast<long long>(series.stats.cells_dense_pruned),
+          static_cast<long long>(series.stats.cells_sparse_pruned),
+          static_cast<long long>(series.stats.pairwise_evaluated),
+          series.stats.used_fallback ? "yes" : "no",
+          static_cast<long long>(series.approx_candidates),
+          static_cast<long long>(series.approx_unconfirmed));
       results.push_back(std::move(series));
     }
   }
@@ -364,9 +413,14 @@ int RunExactMode(int64_t points, const std::vector<int>& dims,
                  "FAIL: %lld report fields differ from the nested-loop "
                  "oracle\n",
                  static_cast<long long>(total_bad));
-    return 1;
   }
-  return 0;
+  if (total_unconfirmed > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %lld approximate outliers are not exact outliers "
+                 "with the same neighbor count\n",
+                 static_cast<long long>(total_unconfirmed));
+  }
+  return total_bad > 0 || total_unconfirmed > 0 ? 1 : 0;
 }
 
 }  // namespace
@@ -424,6 +478,7 @@ int main(int argc, char** argv) {
   dbs::eval::Table quality({"dataset", "n", "true outliers",
                             "KDE found", "recall", "precision",
                             "candidates", "passes"});
+  int64_t unconfirmed = 0;  // over every approximate report below
   std::vector<Workload> workloads;
   workloads.push_back(MakeClusteredWorkload(80000, 41));
   workloads.push_back(MakeGeoWorkload(43));
@@ -438,8 +493,16 @@ int main(int argc, char** argv) {
                                                           detector_opts);
     DBS_CHECK(approx.ok());
 
-    // Precision is 1 by construction (candidates are verified); recall is
-    // found / true.
+    // Precision: the share of approximate outliers the exact report
+    // confirms, with the same neighbor count. Recall is found / true.
+    const int64_t found =
+        static_cast<int64_t>(approx->outlier_indices.size());
+    const int64_t wrong = CountUnconfirmed(*approx, *exact);
+    unconfirmed += wrong;
+    const double precision =
+        found == 0 ? 1.0
+                   : static_cast<double>(found - wrong) /
+                         static_cast<double>(found);
     int64_t hits = 0;
     size_t cursor = 0;
     for (int64_t idx : exact->outlier_indices) {
@@ -461,10 +524,9 @@ int main(int argc, char** argv) {
         {w.name, dbs::eval::Table::Int(w.points.size()),
          dbs::eval::Table::Int(
              static_cast<int64_t>(exact->outlier_indices.size())),
-         dbs::eval::Table::Int(
-             static_cast<int64_t>(approx->outlier_indices.size())),
+         dbs::eval::Table::Int(found),
          dbs::eval::Table::Num(recall, 3),
-         dbs::eval::Table::Num(1.0, 3),
+         dbs::eval::Table::Num(precision, 3),
          dbs::eval::Table::Int(approx->candidates_checked),
          dbs::eval::Table::Int(approx->passes)});
   }
@@ -484,6 +546,7 @@ int main(int argc, char** argv) {
           dbs::outlier::DetectOutliersApproximate(w.points, kde, params,
                                                   opts);
       DBS_CHECK(approx.ok());
+      unconfirmed += CountUnconfirmed(*approx, *exact);
       int64_t hits = 0;
       for (int64_t idx : exact->outlier_indices) {
         for (int64_t got : approx->outlier_indices) {
@@ -529,6 +592,7 @@ int main(int argc, char** argv) {
       auto exact = dbs::outlier::DetectOutliersCellList(w.points, params);
       DBS_CHECK(exact.ok());
       double exact_s = exact_timer.ElapsedSeconds();
+      unconfirmed += CountUnconfirmed(*approx, *exact);
 
       dbs::eval::Timer loop_timer;
       auto loop = dbs::outlier::DetectOutliersNestedLoop(w.points, params);
@@ -543,6 +607,13 @@ int main(int argc, char** argv) {
     }
     timing.Print("runtime scaling (KDE detection is pass-bounded; the "
                  "nested loop is quadratic)");
+  }
+  if (unconfirmed > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %lld approximate outliers are not exact outliers "
+                 "with the same neighbor count\n",
+                 static_cast<long long>(unconfirmed));
+    return 1;
   }
   return 0;
 }

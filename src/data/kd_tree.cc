@@ -150,51 +150,6 @@ void KdTree::NearestGroupImpl(int32_t node_id, PointView query,
   }
 }
 
-std::vector<int64_t> KdTree::KNearest(PointView query, int k,
-                                      int64_t exclude) const {
-  std::vector<HeapEntry> heap;
-  if (k <= 0 || items_.empty()) return {};
-  heap.reserve(static_cast<size_t>(k) + 1);
-  KNearestImpl(root_, query, k, exclude, heap);
-  std::sort_heap(heap.begin(), heap.end());
-  std::vector<int64_t> out;
-  out.reserve(heap.size());
-  for (const HeapEntry& e : heap) out.push_back(e.idx);
-  return out;
-}
-
-void KdTree::KNearestImpl(int32_t node_id, PointView query, int k,
-                          int64_t exclude,
-                          std::vector<HeapEntry>& heap) const {
-  const Node& node = nodes_[node_id];
-  if (node.axis < 0) {
-    for (int32_t i = node.begin; i < node.end; ++i) {
-      int64_t idx = items_[i];
-      if (idx == exclude) continue;
-      double d2 = SquaredL2(query, (*points_)[idx]);
-      if (static_cast<int>(heap.size()) < k) {
-        heap.push_back({d2, idx});
-        std::push_heap(heap.begin(), heap.end());
-      } else if (d2 < heap.front().d2) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = {d2, idx};
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-    return;
-  }
-  double diff = query[node.axis] - node.split;
-  int32_t near = diff < 0 ? node.left : node.right;
-  int32_t far = diff < 0 ? node.right : node.left;
-  KNearestImpl(near, query, k, exclude, heap);
-  double worst = static_cast<int>(heap.size()) < k
-                     ? std::numeric_limits<double>::infinity()
-                     : heap.front().d2;
-  if (diff * diff < worst) {
-    KNearestImpl(far, query, k, exclude, heap);
-  }
-}
-
 std::vector<int64_t> KdTree::WithinRadius(PointView query,
                                           double radius) const {
   std::vector<int64_t> out;

@@ -1,10 +1,10 @@
 // Static kd-tree over a PointSet.
 //
-// Supports nearest-neighbor, k-nearest, radius search, and neighbor counting
-// with early abort (the primitive the outlier verification pass needs: stop
-// as soon as more than `cap` neighbors are seen). The tree indexes point
-// positions at build time; the underlying PointSet must stay alive and
-// unmodified.
+// Supports nearest-neighbor (optionally group-filtered), radius search, and
+// neighbor counting with early abort (the primitive the exact detector's
+// fallback needs: stop as soon as more than `cap` neighbors are seen). The
+// tree indexes point positions at build time; the underlying PointSet must
+// stay alive and unmodified.
 //
 // Construction is the classic median split on the widest dimension, giving
 // a balanced tree in O(n log n).
@@ -35,10 +35,6 @@ class KdTree {
   // If `exclude` >= 0, that point index is skipped (for self-queries).
   // Returns -1 on an empty tree.
   int64_t Nearest(PointView query, int64_t exclude = -1) const;
-
-  // Indices of the k nearest neighbors, closest first.
-  std::vector<int64_t> KNearest(PointView query, int k,
-                                int64_t exclude = -1) const;
 
   // All point indices within L2 distance `radius` of `query` (inclusive).
   std::vector<int64_t> WithinRadius(PointView query, double radius) const;
@@ -98,14 +94,6 @@ class KdTree {
                         int32_t exclude_group,
                         const std::vector<uint8_t>& group_active,
                         GroupNearest& best) const;
-
-  struct HeapEntry {
-    double d2;
-    int64_t idx;
-    bool operator<(const HeapEntry& o) const { return d2 < o.d2; }
-  };
-  void KNearestImpl(int32_t node, PointView query, int k, int64_t exclude,
-                    std::vector<HeapEntry>& heap) const;
 
   void RadiusImpl(int32_t node, PointView query, double r2,
                   std::vector<int64_t>* out, int64_t* count,

@@ -8,31 +8,11 @@
 #include "data/bounds.h"
 #include "data/distance.h"
 #include "data/kd_tree.h"
+#include "outlier/grid_internal.h"
 #include "parallel/batch_executor.h"
 
 namespace dbs::outlier {
 namespace {
-
-// The grid must never split a within-radius pair across non-adjacent cells,
-// or the 3^d neighborhood stops being a candidate superset and the report
-// diverges from the oracle's. The bin side is therefore inflated a hair
-// past the radius: with side = radius * (1 + 2^-20), a pair the kernel can
-// count (computed per-axis gap <= radius * (1 + O(eps))) maps to scaled
-// coordinates less than 1 - 2^-21 apart before rounding, while the rounding
-// error of floor((x - lo) * inv_side) is bounded by a few ulps of the cell
-// coordinate — at most ~2^-28 given the kMaxGridCells cap below, which
-// bounds every axis too — leaving the margin intact. floor(u_a) -
-// floor(u_b) <= 1 then follows from u_a - u_b < 1.
-constexpr double kSideInflate = 1.0 + 0x1p-20;
-
-// Dimensions above this take the kd-tree fallback: the 3^d neighborhood and
-// the grid itself grow exponentially with d.
-constexpr int kMaxGridDim = 6;
-
-// Upper bound on allocated grid bins; boxes needing more (tiny radius or
-// extreme aspect ratio) take the kd-tree fallback. It also backs the error
-// budget above and keeps the flat index math far from int64 overflow.
-constexpr int64_t kMaxGridCells = int64_t{1} << 21;
 
 // Tile positions scanned between early-abort checks; also the vectorization
 // width of the SoA kernel's per-axis inner loop.
@@ -43,12 +23,7 @@ constexpr int kBlock = 64;
 enum class CellClass : unsigned char { kScanned = 0, kDense, kSparse };
 
 struct Grid {
-  int dim = 0;
-  int64_t total_cells = 0;
-  std::vector<int64_t> cells;    // per-dimension cell counts
-  std::vector<int64_t> strides;  // row-major strides over `cells`
-  std::vector<double> lo;        // bounding-box lower corner
-  double inv_side = 0.0;
+  internal::GridGeometry geo;
   // CSR layout: positions [start[c], start[c+1]) of `point_at_pos` hold the
   // (ascending) point indices resident in flat cell c.
   std::vector<int64_t> start;
@@ -60,60 +35,23 @@ struct Grid {
   std::vector<int64_t> occupied;  // flat ids of non-empty cells, ascending
 };
 
-// Maps a coordinate to its cell index along dimension j. The clamp is
-// defensive: monotone rounding already keeps the value inside
-// [0, cells_j - 1] for any point the bounding box covers.
-int64_t CellCoord(double x, double lo, double inv_side, int64_t cells_j) {
-  double u = std::floor((x - lo) * inv_side);
-  if (!(u > 0.0)) return 0;
-  int64_t c = static_cast<int64_t>(u);
-  return c < cells_j ? c : cells_j - 1;
-}
-
 // Builds the grid, or returns false when the input needs more than
-// kMaxGridCells bins (tiny radius or extreme aspect ratio) and the caller
-// should take the kd-tree fallback instead.
+// internal::kMaxGridCells bins (tiny radius or extreme aspect ratio) and
+// the caller should take the kd-tree fallback instead.
 bool BuildGrid(const data::PointSet& points, double radius, Grid* grid) {
   const int64_t n = points.size();
   const int dim = points.dim();
   data::BoundingBox box(dim);
   for (int64_t i = 0; i < n; ++i) box.Extend(points[i]);
-
-  const double side = radius * kSideInflate;
-  grid->dim = dim;
-  grid->inv_side = 1.0 / side;
-  grid->lo.assign(box.lo().begin(), box.lo().end());
-  grid->cells.resize(static_cast<size_t>(dim));
-  int64_t total = 1;
-  for (int j = 0; j < dim; ++j) {
-    // Compare before casting: extent / side can exceed what int64 holds.
-    double t = std::floor(box.extent(j) * grid->inv_side);
-    if (!(t < static_cast<double>(kMaxGridCells))) return false;
-    int64_t cells_j = (t > 0.0 ? static_cast<int64_t>(t) : 0) + 1;
-    if (total > kMaxGridCells / cells_j) return false;
-    total *= cells_j;
-    grid->cells[static_cast<size_t>(j)] = cells_j;
-  }
-  grid->total_cells = total;
-  grid->strides.resize(static_cast<size_t>(dim));
-  int64_t stride = 1;
-  for (int j = dim - 1; j >= 0; --j) {
-    grid->strides[static_cast<size_t>(j)] = stride;
-    stride *= grid->cells[static_cast<size_t>(j)];
-  }
+  if (!internal::MakeGridGeometry(box, radius, &grid->geo)) return false;
+  const int64_t total = grid->geo.total_cells;
 
   // Counting sort by flat cell id, stable in ascending point index so tile
   // scan order — and with it the prune statistics — is deterministic.
   std::vector<int64_t> cell_of(static_cast<size_t>(n));
   grid->start.assign(static_cast<size_t>(total) + 1, 0);
   for (int64_t i = 0; i < n; ++i) {
-    const data::PointView p = points[i];
-    int64_t flat = 0;
-    for (int j = 0; j < dim; ++j) {
-      flat += CellCoord(p[j], grid->lo[static_cast<size_t>(j)],
-                        grid->inv_side, grid->cells[static_cast<size_t>(j)]) *
-              grid->strides[static_cast<size_t>(j)];
-    }
+    const int64_t flat = internal::FlatCell(grid->geo, points[i].data());
     cell_of[static_cast<size_t>(i)] = flat;
     ++grid->start[static_cast<size_t>(flat) + 1];
   }
@@ -263,11 +201,7 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
       const int64_t tile_s = grid.start[static_cast<size_t>(flat)];
       const int64_t tile_e = grid.start[static_cast<size_t>(flat) + 1];
       const int64_t m = tile_e - tile_s;
-      int64_t rem = flat;
-      for (int j = 0; j < dim; ++j) {
-        coord[static_cast<size_t>(j)] = rem / grid.strides[static_cast<size_t>(j)];
-        rem %= grid.strides[static_cast<size_t>(j)];
-      }
+      internal::CellCoords(grid.geo, flat, coord.data());
 
       // Dense rule: enough residents that each already has p + 1 same-cell
       // neighbors, provided the cell's realized diameter fits the radius.
@@ -298,37 +232,18 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
       tiles.clear();
       tiles.push_back(flat);
       int64_t neighborhood_total = m;
-      for (int j = 0; j < dim; ++j) offset[static_cast<size_t>(j)] = -1;
-      for (;;) {
-        bool zero = true;
-        bool valid = true;
-        int64_t nflat = flat;
-        for (int j = 0; j < dim; ++j) {
-          const int64_t o = offset[static_cast<size_t>(j)];
-          if (o != 0) zero = false;
-          const int64_t c = coord[static_cast<size_t>(j)] + o;
-          if (c < 0 || c >= grid.cells[static_cast<size_t>(j)]) {
-            valid = false;
-            break;
-          }
-          nflat += o * grid.strides[static_cast<size_t>(j)];
-        }
-        if (valid && !zero) {
-          const int64_t cnt = grid.start[static_cast<size_t>(nflat) + 1] -
-                              grid.start[static_cast<size_t>(nflat)];
-          if (cnt > 0) {
-            tiles.push_back(nflat);
-            neighborhood_total += cnt;
-          }
-        }
-        int j = dim - 1;
-        while (j >= 0 && offset[static_cast<size_t>(j)] == 1) {
-          offset[static_cast<size_t>(j)] = -1;
-          --j;
-        }
-        if (j < 0) break;
-        ++offset[static_cast<size_t>(j)];
-      }
+      internal::ForEachBlockRun(
+          grid.geo, coord.data(), offset.data(),
+          [&](int64_t first, int64_t last) {
+            for (int64_t nflat = first; nflat <= last; ++nflat) {
+              const int64_t cnt = grid.start[static_cast<size_t>(nflat) + 1] -
+                                  grid.start[static_cast<size_t>(nflat)];
+              if (nflat != flat && cnt > 0) {
+                tiles.push_back(nflat);
+                neighborhood_total += cnt;
+              }
+            }
+          });
 
       // Sparse rule: too few points in the whole neighborhood for any
       // resident to clear p neighbors — all residents are outliers. Their
@@ -363,7 +278,7 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
 
   if (stats_out != nullptr) {
     CellListStats& stats = *stats_out;
-    stats.grid_cells = grid.total_cells;
+    stats.grid_cells = grid.geo.total_cells;
     stats.occupied_cells = num_occupied;
     for (int64_t oc = 0; oc < num_occupied; ++oc) {
       if (cell_class[static_cast<size_t>(oc)] == CellClass::kDense) {
@@ -422,11 +337,11 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
   // Neighbors-excluding-self per point, filled by whichever pass runs.
   std::vector<int64_t> neighbor_counts(static_cast<size_t>(n));
 
-  // A zero radius means a zero bin side; above kMaxGridDim the 3^d
-  // neighborhood stops paying for itself; BuildGrid rejects boxes needing
-  // more than kMaxGridCells bins. All three take the kd-tree pass.
+  // Radii the grid argument does not cover (zero among them), dimensions
+  // above kMaxGridDim and boxes needing more than kMaxGridCells bins take
+  // the kd-tree pass (outlier/grid_internal.h).
   Grid grid;
-  if (params.radius > 0 && points.dim() <= kMaxGridDim &&
+  if (internal::GridServes(params.radius, points.dim()) &&
       BuildGrid(points, params.radius, &grid)) {
     DBS_RETURN_IF_ERROR(CountOnGrid(points, params, p, grid, options.executor,
                                     options.stats, neighbor_counts.data()));

@@ -33,8 +33,9 @@
 // disjoint per-point count slots and a sequential assembly sweep — at any
 // worker count.
 //
-// Inputs the grid cannot serve — radius 0, dimension above 6, or a bounding
-// box needing more than 2^21 bins — are counted with a kd-tree instead.
+// Inputs the grid cannot serve — radius 0 or one whose square is not a
+// normal, finite double, dimension above 6, or a bounding box needing more
+// than 2^21 bins — are counted with a kd-tree instead.
 // Both paths fill the same per-point count array and share the report
 // assembly, so the identical-report contract covers the fallback too.
 
@@ -68,9 +69,9 @@ struct CellListStats {
   int64_t cells_sparse_pruned = 0;
   // Point-pair distance evaluations performed by the SoA kernel.
   int64_t pairwise_evaluated = 0;
-  // True when the kd-tree fallback ran instead of the grid (radius 0,
-  // dimension above 6, or a grid of more than 2^21 bins). All other
-  // counters are zero in that case.
+  // True when the kd-tree fallback ran instead of the grid (a radius the
+  // grid cannot serve, dimension above 6, or a grid of more than 2^21
+  // bins). All other counters are zero in that case.
   bool used_fallback = false;
 };
 

@@ -1,12 +1,165 @@
 #include "outlier/kde_detector.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "data/bounds.h"
+#include "data/distance.h"
 #include "data/kd_tree.h"
+#include "outlier/grid_internal.h"
 
 namespace dbs::outlier {
 namespace {
+
+// The verify pass's grid over the candidate set (DESIGN.md §16): the
+// candidates of flat cell f are order[start[f] .. start[f + 1]), and
+// in_reach[f] is 1 when any candidate lies in f's 3^d block. Offsets and
+// ids are 32-bit; BuildCandidateGrid refuses larger candidate sets.
+struct CandidateGrid {
+  internal::GridGeometry geo;
+  std::vector<uint32_t> start;
+  std::vector<int32_t> order;
+  std::vector<uint8_t> in_reach;
+};
+
+// Builds the grid over `candidates`, or returns false when it cannot serve
+// them (radius, dimension, box size or candidate count) and the kd-tree
+// loop counts instead.
+bool BuildCandidateGrid(const data::PointSet& candidates, double radius,
+                        CandidateGrid* grid) {
+  const int64_t n = candidates.size();
+  const int dim = candidates.dim();
+  if (n > std::numeric_limits<int32_t>::max() ||
+      !internal::GridServes(radius, dim)) {
+    return false;
+  }
+  data::BoundingBox box(dim);
+  for (int64_t c = 0; c < n; ++c) box.Extend(candidates[c]);
+  if (!internal::MakeGridGeometry(box, radius, &grid->geo)) return false;
+  const size_t total = static_cast<size_t>(grid->geo.total_cells);
+
+  // Counting sort by flat cell: count into start[f], prefix-sum to each
+  // cell's end, then scatter backwards so start[f] ends at the cell's
+  // beginning.
+  std::vector<uint32_t> cell_of(static_cast<size_t>(n));
+  grid->start.assign(total + 1, 0);
+  for (int64_t c = 0; c < n; ++c) {
+    const auto flat = static_cast<uint32_t>(
+        internal::FlatCell(grid->geo, candidates[c].data()));
+    cell_of[static_cast<size_t>(c)] = flat;
+    ++grid->start[flat];
+  }
+  for (size_t f = 1; f <= total; ++f) grid->start[f] += grid->start[f - 1];
+  grid->order.resize(static_cast<size_t>(n));
+  for (int64_t c = n - 1; c >= 0; --c) {
+    grid->order[--grid->start[cell_of[static_cast<size_t>(c)]]] =
+        static_cast<int32_t>(c);
+  }
+
+  grid->in_reach.assign(total, 0);
+  std::vector<int64_t> coord(static_cast<size_t>(dim));
+  std::vector<int64_t> offset(static_cast<size_t>(dim));
+  for (size_t f = 0; f < total; ++f) {
+    if (grid->start[f] == grid->start[f + 1]) continue;
+    internal::CellCoords(grid->geo, static_cast<int64_t>(f), coord.data());
+    internal::ForEachBlockRun(
+        grid->geo, coord.data(), offset.data(),
+        [&](int64_t first, int64_t last) {
+          std::fill(grid->in_reach.begin() + first,
+                    grid->in_reach.begin() + last + 1, uint8_t{1});
+        });
+  }
+  return true;
+}
+
+// Bumps counts[c] once for every row of `scan` within params.radius of
+// candidate c, comparing only against the candidates of the row's 3^d
+// block. The comparisons are KdTree::WithinRadiusMetric's, so the counts
+// are the kd-tree loop's.
+void CountOnCandidateGrid(data::DataScan& scan,
+                          const data::PointSet& candidates,
+                          const CandidateGrid& grid,
+                          const DbOutlierParams& params, int64_t* counts) {
+  const int dim = candidates.dim();
+  const internal::GridGeometry& geo = grid.geo;
+  const double r2 = params.radius * params.radius;
+  std::vector<int64_t> coord(static_cast<size_t>(dim));
+  std::vector<int64_t> offset(static_cast<size_t>(dim));
+  scan.Reset();
+  data::ScanBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.count; ++i) {
+      const data::PointView x = batch.point(i, dim);
+      // The row's cell, unclamped. A row more than one cell outside the
+      // box on some axis has no candidate in reach, and a row with a NaN
+      // coordinate counts nothing (see CountOnKdTree). A row in the ring
+      // just outside the box has no in_reach byte and always probes.
+      bool in_box = true;
+      bool out_of_reach = false;
+      int64_t flat = 0;
+      for (int j = 0; j < dim; ++j) {
+        const size_t a = static_cast<size_t>(j);
+        const double u = internal::ScaledFloor(x[j], geo.lo[a], geo.inv_side);
+        const auto cells_j = static_cast<double>(geo.cells[a]);
+        if (!(u >= -1.0 && u <= cells_j)) {
+          out_of_reach = true;
+          break;
+        }
+        coord[a] = static_cast<int64_t>(u);
+        if (u < 0.0 || u == cells_j) in_box = false;
+        flat += coord[a] * geo.strides[a];
+      }
+      if (out_of_reach ||
+          (in_box && grid.in_reach[static_cast<size_t>(flat)] == 0)) {
+        continue;
+      }
+      // The candidates of a run of cells are contiguous in `order`.
+      internal::ForEachBlockRun(
+          geo, coord.data(), offset.data(), [&](int64_t first, int64_t last) {
+            const uint32_t end = grid.start[static_cast<size_t>(last) + 1];
+            for (uint32_t pos = grid.start[static_cast<size_t>(first)];
+                 pos < end; ++pos) {
+              const int32_t c = grid.order[pos];
+              const bool hit =
+                  params.metric == data::Metric::kL2
+                      ? data::SquaredL2(x, candidates[c]) <= r2
+                      : data::Distance(x, candidates[c], params.metric) <=
+                            params.radius;
+              if (hit) ++counts[c];
+            }
+          });
+    }
+  }
+}
+
+// The verify loop for inputs the grid cannot serve: one kd-tree radius
+// query per row. A row with a NaN coordinate is skipped, as on the grid:
+// under Linf, data::Distance's std::max drops a NaN axis, and the tree
+// would count whichever candidates its descent happens to reach.
+void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
+                   const DbOutlierParams& params, int64_t* counts) {
+  const int dim = candidates.dim();
+  data::KdTree tree(&candidates);
+  scan.Reset();
+  data::ScanBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.count; ++i) {
+      data::PointView x = batch.point(i, dim);
+      if (std::any_of(x.begin(), x.end(),
+                      [](double v) { return std::isnan(v); })) {
+        continue;
+      }
+      for (int64_t c :
+           tree.WithinRadiusMetric(x, params.radius, params.metric)) {
+        ++counts[c];
+      }
+    }
+  }
+}
 
 // The scoring pass's checks, shared by the estimate and the sharded
 // scoring stage (through which DetectOutliersApproximate validates once).
@@ -191,28 +344,23 @@ namespace {
     return Status::InvalidArgument(
         "scan does not cover the shard's row range");
   }
-  const int dim = scan.dim();
 
-  // Shard slice of the verification pass: a kd-tree over the (small)
-  // candidate set turns it into "for each of the shard's rows, bump every
-  // candidate within radius". Tallies are integers, so summing shard parts
-  // reproduces the sequential counts exactly.
+  // Shard slice of the verification pass: for each of the shard's rows,
+  // bump every candidate within radius — on a grid over the (small)
+  // candidate set when it can serve them, else through a kd-tree. Tallies
+  // are integers, so summing shard parts reproduces the sequential counts
+  // exactly.
   NeighborCountShardPart part;
   part.shard = info.shard;
   part.num_shards = info.num_shards;
   part.total_rows = info.total_rows;
   part.counts.assign(static_cast<size_t>(candidates.points.size()), 0);
-  data::KdTree tree(&candidates.points);
-  scan.Reset();
-  data::ScanBatch batch;
-  while (scan.NextBatch(&batch)) {
-    for (int64_t i = 0; i < batch.count; ++i) {
-      data::PointView x = batch.point(i, dim);
-      for (int64_t c :
-           tree.WithinRadiusMetric(x, params.radius, params.metric)) {
-        ++part.counts[static_cast<size_t>(c)];
-      }
-    }
+  CandidateGrid grid;
+  if (BuildCandidateGrid(candidates.points, params.radius, &grid)) {
+    CountOnCandidateGrid(scan, candidates.points, grid, params,
+                         part.counts.data());
+  } else {
+    CountOnKdTree(scan, candidates.points, params, part.counts.data());
   }
 
   PartialNeighborCounts partial;

@@ -142,7 +142,13 @@ struct PartialNeighborCounts {
     PartialOutlierCandidates partial);
 
 // Verification pass over one shard's slice: exact neighbor tallies of every
-// candidate among the shard's rows (kd-tree over the candidate set).
+// candidate among the shard's rows. A dense grid over the candidate set
+// (DESIGN.md §16) lets a row with no candidate in its 3^d block skip the
+// comparisons; inputs the grid cannot serve — radius 0 or one whose square
+// is not a normal double, dimension above 6, a candidate box needing more
+// than 2^21 cells — take a kd-tree over the candidates. Both paths use
+// KdTree::WithinRadiusMetric's comparisons, and a row with a NaN coordinate
+// counts nothing.
 [[nodiscard]] Result<PartialNeighborCounts> CountCandidateNeighborsPartial(
     data::DataScan& scan, const OutlierCandidates& candidates,
     const DbOutlierParams& params, const ShardInfo& info);

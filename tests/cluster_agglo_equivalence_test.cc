@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +85,15 @@ struct Case {
   int num_clusters;
   bool eliminate;
 };
+
+// Prints a case by its fields. gtest_discover_tests names each ctest after
+// the printed parameter; without this, gtest prints the struct's raw bytes,
+// padding included, and the names can change between builds.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "n" << c.n_per_blob << "_noise" << c.noise << "_dim" << c.dim
+      << "_blobs" << c.k_blobs << "_k" << c.num_clusters
+      << (c.eliminate ? "_elim" : "_keep");
+}
 
 class AggloEquivalenceTest : public ::testing::TestWithParam<Case> {};
 

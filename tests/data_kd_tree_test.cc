@@ -54,7 +54,6 @@ TEST(KdTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0);
   PointSet q(2, {0.0, 0.0});
   EXPECT_EQ(tree.Nearest(q[0]), -1);
-  EXPECT_TRUE(tree.KNearest(q[0], 3).empty());
   EXPECT_TRUE(tree.WithinRadius(q[0], 1.0).empty());
   EXPECT_EQ(tree.CountWithinRadius(q[0], 1.0), 0);
 }
@@ -81,31 +80,6 @@ TEST_P(KdTreeRandomTest, NearestMatchesBruteForce) {
     // Ties are possible in principle; compare distances, not indices.
     EXPECT_DOUBLE_EQ(SquaredL2(queries[qi], ps[got]),
                      SquaredL2(queries[qi], ps[want]));
-  }
-}
-
-TEST_P(KdTreeRandomTest, KNearestMatchesBruteForce) {
-  auto [n, dim] = GetParam();
-  PointSet ps = MakeRandomPoints(n, dim, 200 + n + dim);
-  KdTree tree(&ps);
-  PointSet queries = MakeRandomPoints(20, dim, 555 + dim);
-  const int k = std::min<int>(7, n);
-  for (int64_t qi = 0; qi < queries.size(); ++qi) {
-    std::vector<int64_t> got = tree.KNearest(queries[qi], k);
-    ASSERT_EQ(static_cast<int>(got.size()), k);
-    // Sorted ascending by distance.
-    std::vector<double> dists;
-    for (int64_t idx : got) {
-      dists.push_back(SquaredL2(queries[qi], ps[idx]));
-    }
-    EXPECT_TRUE(std::is_sorted(dists.begin(), dists.end()));
-    // Compare against brute-force distances (handles ties by distance).
-    std::vector<double> all;
-    for (int64_t i = 0; i < ps.size(); ++i) {
-      all.push_back(SquaredL2(queries[qi], ps[i]));
-    }
-    std::sort(all.begin(), all.end());
-    for (int i = 0; i < k; ++i) EXPECT_DOUBLE_EQ(dists[i], all[i]);
   }
 }
 
@@ -179,14 +153,6 @@ TEST(KdTreeTest, DuplicatePointsAllReturned) {
   PointSet q(2, {1.0, 1.0});
   EXPECT_EQ(tree.CountWithinRadius(q[0], 0.0), 30);
   EXPECT_EQ(tree.WithinRadius(q[0], 0.1).size(), 30u);
-}
-
-TEST(KdTreeTest, KNearestWithKLargerThanTree) {
-  PointSet ps = MakeRandomPoints(5, 2, 3);
-  KdTree tree(&ps);
-  PointSet q(2, {0.5, 0.5});
-  std::vector<int64_t> got = tree.KNearest(q[0], 50);
-  EXPECT_EQ(got.size(), 5u);
 }
 
 // Brute-force oracle for NearestExcludingGroup with the same lexicographic

@@ -166,6 +166,31 @@ TEST(CellListTest, RadiusZeroTakesKdTreeFallback) {
   EXPECT_EQ(cell->outlier_indices, (std::vector<int64_t>{2}));
 }
 
+TEST(CellListTest, UnderflowingSquaredRadiusTakesKdTreeFallback) {
+  // Radius 1e-200 squares to 0, so under L2 every pair whose squared gap
+  // underflows too counts as a neighbor pair — the oracle's
+  // sqrt(SquaredL2) <= radius agrees. Such a pair can be many cells apart:
+  // 0 and 1e-195 are ~10^5 bins apart here, under the 2^21 cap, so a grid
+  // would never compare them.
+  PointSet ps(1, {0.0, 1e-195, 1.0e-196, 4e-196});
+  for (Metric metric : kMetrics) {
+    SCOPED_TRACE(static_cast<int>(metric));
+    DbOutlierParams params;
+    params.radius = 1e-200;
+    params.max_neighbors = 1;
+    params.metric = metric;
+    CellListStats stats;
+    CellListDetectorOptions options;
+    options.stats = &stats;
+    auto cell = DetectOutliersCellList(ps, params, options);
+    auto oracle = DetectOutliersNestedLoop(ps, params);
+    ASSERT_TRUE(cell.ok());
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameReport(*cell, *oracle);
+    EXPECT_TRUE(stats.used_fallback);
+  }
+}
+
 TEST(CellListTest, AllIdenticalPointsDensePruneWholesale) {
   PointSet ps(3);
   for (int i = 0; i < 50; ++i) {
