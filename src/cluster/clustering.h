@@ -34,10 +34,6 @@ struct ClusteringResult {
   int num_clusters() const { return static_cast<int>(clusters.size()); }
 };
 
-// Index of the cluster whose centroid is nearest to p (L2); -1 if none.
-int32_t NearestClusterByCentroid(const ClusteringResult& result,
-                                 data::PointView p);
-
 }  // namespace dbs::cluster
 
 #endif  // DBS_CLUSTER_CLUSTERING_H_

@@ -72,49 +72,4 @@ double BoundingBox::Volume() const {
   return v;
 }
 
-UnitScaler::UnitScaler(const BoundingBox& box) {
-  DBS_CHECK(!box.empty());
-  int d = box.dim();
-  offset_.resize(d);
-  scale_.resize(d);
-  for (int j = 0; j < d; ++j) {
-    offset_[j] = box.lo(j);
-    double ext = box.extent(j);
-    scale_[j] = ext > 0 ? 1.0 / ext : 0.0;
-  }
-}
-
-UnitScaler UnitScaler::Fit(const PointSet& points) {
-  DBS_CHECK(!points.empty());
-  BoundingBox box(points.dim());
-  for (int64_t i = 0; i < points.size(); ++i) box.Extend(points[i]);
-  return UnitScaler(box);
-}
-
-void UnitScaler::Transform(PointView p, double* out) const {
-  DBS_CHECK(p.dim() == dim());
-  for (int j = 0; j < dim(); ++j) {
-    out[j] = scale_[j] > 0 ? (p[j] - offset_[j]) * scale_[j] : 0.5;
-  }
-}
-
-PointSet UnitScaler::TransformAll(const PointSet& points) const {
-  DBS_CHECK(points.dim() == dim());
-  PointSet out(points.dim());
-  out.Reserve(points.size());
-  std::vector<double> buf(points.dim());
-  for (int64_t i = 0; i < points.size(); ++i) {
-    Transform(points[i], buf.data());
-    out.Append(buf);
-  }
-  return out;
-}
-
-void UnitScaler::Inverse(PointView p, double* out) const {
-  DBS_CHECK(p.dim() == dim());
-  for (int j = 0; j < dim(); ++j) {
-    out[j] = scale_[j] > 0 ? p[j] / scale_[j] + offset_[j] : offset_[j];
-  }
-}
-
 }  // namespace dbs::data

@@ -1,9 +1,10 @@
-// Axis-aligned bounding boxes and the [0,1]^d scaler.
+// Axis-aligned bounding boxes.
 //
-// The sampling technique assumes the data domain is the unit cube (paper
-// §2.2, "otherwise we can scale the attributes"); UnitScaler performs that
-// affine rescaling and its inverse, and is fitted in the same pass that
-// collects kernel centers.
+// The paper assumes the data domain is the unit cube (§2.2, "otherwise we
+// can scale the attributes"). Nothing here rescales the data: estimators
+// keep its own coordinates and divide by the box's Volume() where the
+// paper's formulas assume a unit-volume domain (see
+// DensityEstimator::AverageDensity).
 
 #ifndef DBS_DATA_BOUNDS_H_
 #define DBS_DATA_BOUNDS_H_
@@ -51,35 +52,6 @@ class BoundingBox {
   std::vector<double> lo_;
   std::vector<double> hi_;
   int64_t count_ = 0;
-};
-
-// Affine map of a bounding box onto [0,1]^d. Degenerate dimensions (zero
-// extent) map to 0.5.
-class UnitScaler {
- public:
-  UnitScaler() = default;
-  explicit UnitScaler(const BoundingBox& box);
-
-  // Fits the scaler to cover all points of `points`.
-  static UnitScaler Fit(const PointSet& points);
-
-  int dim() const { return static_cast<int>(offset_.size()); }
-
-  // Writes the scaled image of p into out[0..d).
-  void Transform(PointView p, double* out) const;
-
-  // Scales every point; returns a new set in unit coordinates.
-  PointSet TransformAll(const PointSet& points) const;
-
-  // Maps a unit-cube point back to the original domain.
-  void Inverse(PointView p, double* out) const;
-
-  // Scales a length along dimension j (for transforming radii per axis).
-  double ScaleLength(int j, double len) const { return len * scale_[j]; }
-
- private:
-  std::vector<double> offset_;
-  std::vector<double> scale_;
 };
 
 }  // namespace dbs::data

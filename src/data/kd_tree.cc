@@ -150,40 +150,28 @@ void KdTree::NearestGroupImpl(int32_t node_id, PointView query,
   }
 }
 
-std::vector<int64_t> KdTree::WithinRadius(PointView query,
-                                          double radius) const {
+std::vector<int64_t> KdTree::WithinRadius(PointView query, double radius,
+                                          Metric metric) const {
   std::vector<int64_t> out;
   if (items_.empty() || radius < 0) return out;
   int64_t count = 0;
-  RadiusImpl(root_, query, radius * radius, &out, &count, -1);
+  if (metric == Metric::kL2) {
+    RadiusImpl(root_, query, radius * radius, &out, &count, -1);
+  } else {
+    RadiusMetricImpl(root_, query, radius, metric, &out, &count, -1);
+  }
   return out;
 }
 
 int64_t KdTree::CountWithinRadius(PointView query, double radius,
-                                  int64_t cap) const {
+                                  Metric metric, int64_t cap) const {
   if (items_.empty() || radius < 0) return 0;
   int64_t count = 0;
-  RadiusImpl(root_, query, radius * radius, nullptr, &count, cap);
-  return count;
-}
-
-std::vector<int64_t> KdTree::WithinRadiusMetric(PointView query,
-                                                double radius,
-                                                Metric metric) const {
-  if (metric == Metric::kL2) return WithinRadius(query, radius);
-  std::vector<int64_t> out;
-  if (items_.empty() || radius < 0) return out;
-  int64_t count = 0;
-  RadiusMetricImpl(root_, query, radius, metric, &out, &count, -1);
-  return out;
-}
-
-int64_t KdTree::CountWithinRadiusMetric(PointView query, double radius,
-                                        Metric metric, int64_t cap) const {
-  if (metric == Metric::kL2) return CountWithinRadius(query, radius, cap);
-  if (items_.empty() || radius < 0) return 0;
-  int64_t count = 0;
-  RadiusMetricImpl(root_, query, radius, metric, nullptr, &count, cap);
+  if (metric == Metric::kL2) {
+    RadiusImpl(root_, query, radius * radius, nullptr, &count, cap);
+  } else {
+    RadiusMetricImpl(root_, query, radius, metric, nullptr, &count, cap);
+  }
   return count;
 }
 

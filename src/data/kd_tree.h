@@ -36,12 +36,18 @@ class KdTree {
   // Returns -1 on an empty tree.
   int64_t Nearest(PointView query, int64_t exclude = -1) const;
 
-  // All point indices within L2 distance `radius` of `query` (inclusive).
-  std::vector<int64_t> WithinRadius(PointView query, double radius) const;
+  // All point indices within `metric` distance `radius` of `query`
+  // (inclusive). For any of L2/L1/Linf the per-axis splitting-plane
+  // distance lower-bounds the metric distance, so the same tree prunes
+  // correctly; only the leaf-level distance changes. L2 compares squared
+  // distances against radius * radius.
+  std::vector<int64_t> WithinRadius(PointView query, double radius,
+                                    Metric metric) const;
 
-  // Counts points within `radius`, stopping early once the count exceeds
-  // `cap` (returns cap+1 in that case). cap < 0 means count everything.
-  int64_t CountWithinRadius(PointView query, double radius,
+  // Counts the points WithinRadius would return, stopping early once the
+  // count exceeds `cap` (returns cap+1 in that case). cap < 0 means count
+  // everything.
+  int64_t CountWithinRadius(PointView query, double radius, Metric metric,
                             int64_t cap = -1) const;
 
   // Result of a group-filtered nearest query: the winning point, the group
@@ -63,14 +69,6 @@ class KdTree {
   GroupNearest NearestExcludingGroup(
       PointView query, const std::vector<int32_t>& group_of,
       int32_t exclude_group, const std::vector<uint8_t>& group_active) const;
-
-  // Metric-general variants: for any of L2/L1/Linf the per-axis splitting-
-  // plane distance lower-bounds the metric distance, so the same tree
-  // prunes correctly; only the leaf-level distance changes.
-  std::vector<int64_t> WithinRadiusMetric(PointView query, double radius,
-                                          Metric metric) const;
-  int64_t CountWithinRadiusMetric(PointView query, double radius,
-                                  Metric metric, int64_t cap = -1) const;
 
  private:
   struct Node {
@@ -95,6 +93,9 @@ class KdTree {
                         const std::vector<uint8_t>& group_active,
                         GroupNearest& best) const;
 
+  // L2 compares squared distances against r2 = radius * radius, the
+  // comparison the outlier passes' candidate grid and cell-list kernel
+  // mirror; the other metrics compare Distance against the radius.
   void RadiusImpl(int32_t node, PointView query, double r2,
                   std::vector<int64_t>* out, int64_t* count,
                   int64_t cap) const;

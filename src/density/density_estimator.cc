@@ -6,32 +6,15 @@ Status DensityEstimator::EvaluateBatch(const double* rows, int64_t count,
                                        double* out,
                                        parallel::BatchExecutor* executor)
     const {
-  if (count <= 0) return Status::Ok();
-  const int d = dim();
-  auto shard = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      out[i] = Evaluate(data::PointView(rows + i * d, d));
-    }
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
+  return EvaluateExcludingSelvesBatch(rows, /*selves=*/nullptr, count, out,
+                                      executor);
 }
 
 Status DensityEstimator::EvaluateExcludingBatch(
     const double* rows, int64_t count, double* out,
     parallel::BatchExecutor* executor) const {
-  if (count <= 0) return Status::Ok();
-  const int d = dim();
-  auto shard = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      data::PointView p(rows + i * d, d);
-      out[i] = EvaluateExcluding(p, p);
-    }
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
+  return EvaluateExcludingSelvesBatch(rows, /*selves=*/rows, count, out,
+                                      executor);
 }
 
 Status DensityEstimator::EvaluateExcludingSelvesBatch(
@@ -41,8 +24,10 @@ Status DensityEstimator::EvaluateExcludingSelvesBatch(
   const int d = dim();
   auto shard = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      out[i] = EvaluateExcluding(data::PointView(rows + i * d, d),
-                                 data::PointView(selves + i * d, d));
+      data::PointView p(rows + i * d, d);
+      out[i] = selves == nullptr
+                   ? Evaluate(p)
+                   : EvaluateExcluding(p, data::PointView(selves + i * d, d));
     }
   };
   if (executor != nullptr) return executor->ParallelFor(count, shard);

@@ -31,11 +31,11 @@ class DensityEstimator {
   // out[i] = Evaluate(row i), BITWISE — batching (and sharding across
   // `executor`'s workers, when one is supplied) is an execution detail, not
   // a semantic one, because every point is evaluated independently with the
-  // same per-point arithmetic. Backends override this to amortize per-point
-  // work (see Kde); the default is the scalar loop. With an executor the
-  // call can fail with kUnavailable under queue backpressure, in which case
-  // `out` contents are unspecified; without one it always succeeds. Must
-  // not be called from an executor worker thread (ParallelFor blocks).
+  // same per-point arithmetic. With an executor the call can fail with
+  // kUnavailable under queue backpressure, in which case `out` contents are
+  // unspecified; without one it always succeeds. Must not be called from an
+  // executor worker thread (ParallelFor blocks). Calls
+  // EvaluateExcludingSelvesBatch with selves = nullptr.
   [[nodiscard]] virtual Status EvaluateBatch(const double* rows, int64_t count, double* out,
                                parallel::BatchExecutor* executor =
                                    nullptr) const;
@@ -43,7 +43,7 @@ class DensityEstimator {
   // Batch leave-one-out evaluation: out[i] = EvaluateExcluding(row i,
   // row i), i.e. each point excludes its own contribution — the form the
   // outlier scorer consumes. Same bitwise/backpressure contract as
-  // EvaluateBatch.
+  // EvaluateBatch. Calls EvaluateExcludingSelvesBatch with selves = rows.
   [[nodiscard]] virtual Status EvaluateExcludingBatch(const double* rows, int64_t count,
                                         double* out,
                                         parallel::BatchExecutor* executor =
@@ -54,7 +54,10 @@ class DensityEstimator {
   // `selves` is a second row-major array of `count` points. This is the form
   // the QMC ball integrator consumes: every probe row excludes the mass of
   // the ball CENTER it was expanded from, not the probe location itself.
-  // Same bitwise/backpressure contract as EvaluateBatch.
+  // `selves == nullptr` excludes nothing: out[i] = Evaluate(row i). Same
+  // bitwise/backpressure contract as EvaluateBatch. This is the one batch
+  // path a backend overrides to amortize per-point work (see Kde); the
+  // default is the scalar loop.
   [[nodiscard]] virtual Status EvaluateExcludingSelvesBatch(const double* rows,
                                               const double* selves,
                                               int64_t count, double* out,

@@ -10,15 +10,16 @@
 namespace dbs::density {
 namespace {
 
-uint64_t HashCellId(const int64_t* cell, int dim) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (int j = 0; j < dim; ++j) {
-    uint64_t v = static_cast<uint64_t>(cell[j]) + 0x9e3779b97f4a7c15ULL;
-    v *= 0xff51afd7ed558ccdULL;
-    v ^= v >> 33;
-    h = (h * 0xc4ceb9fe1a85ec53ULL) ^ v;
-  }
-  return h ^ (h >> 31);
+// The cell hash is a left fold over the axes' cell indices: start from
+// kCellHashSeed, fold in each axis with HashCellAxis, finish with
+// h ^ (h >> 31).
+constexpr uint64_t kCellHashSeed = 0x2545f4914f6cdd1dULL;
+
+uint64_t HashCellAxis(uint64_t h, int64_t cell) {
+  uint64_t v = static_cast<uint64_t>(cell) + 0x9e3779b97f4a7c15ULL;
+  v *= 0xff51afd7ed558ccdULL;
+  v ^= v >> 33;
+  return (h * 0xc4ceb9fe1a85ec53ULL) ^ v;
 }
 
 }  // namespace
@@ -109,19 +110,22 @@ Result<GridDensity> GridDensity::Fit(const data::PointSet& points,
 
 int64_t GridDensity::BucketOf(data::PointView p) const {
   DBS_DCHECK(p.dim() == dim_);
-  int64_t cell[16];
-  DBS_CHECK(dim_ <= 16);
-  for (int j = 0; j < dim_; ++j) {
-    int64_t c = static_cast<int64_t>(
+  // Each axis's clamped cell folds into the id as soon as it is computed,
+  // so any dimensionality works: into the linear cell id when cells are
+  // addressed directly, into the cell's hash otherwise.
+  auto cell = [&](int j) {
+    const int64_t c = static_cast<int64_t>(
         std::floor((p[j] - bounds_.lo(j)) / cell_width_[j]));
-    cell[j] = std::clamp<int64_t>(c, 0, cells_per_dim_ - 1);
-  }
+    return std::clamp<int64_t>(c, 0, cells_per_dim_ - 1);
+  };
   if (!hashed_) {
     int64_t linear = 0;
-    for (int j = 0; j < dim_; ++j) linear = linear * cells_per_dim_ + cell[j];
+    for (int j = 0; j < dim_; ++j) linear = linear * cells_per_dim_ + cell(j);
     return linear;
   }
-  return static_cast<int64_t>(HashCellId(cell, dim_) %
+  uint64_t h = kCellHashSeed;
+  for (int j = 0; j < dim_; ++j) h = HashCellAxis(h, cell(j));
+  return static_cast<int64_t>((h ^ (h >> 31)) %
                               static_cast<uint64_t>(bucket_counts_.size()));
 }
 
@@ -175,20 +179,6 @@ void GridDensity::BatchRange(const double* rows, const double* selves,
     }
     g = h;
   }
-}
-
-Status GridDensity::EvaluateBatch(const double* rows, int64_t count,
-                                  double* out,
-                                  parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/nullptr, count, out,
-                                      executor);
-}
-
-Status GridDensity::EvaluateExcludingBatch(
-    const double* rows, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/rows, count, out,
-                                      executor);
 }
 
 Status GridDensity::EvaluateExcludingSelvesBatch(

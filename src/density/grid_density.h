@@ -9,6 +9,10 @@
 // degradation the paper attributes to the approach (§1.1, §4.3), so the
 // bucket budget is an explicit knob here (memory_budget_bytes).
 //
+// When all g^d cells fit the budget, cells are addressed directly instead
+// (hashed() is false): no counts merge, and the summary is the exact
+// equi-width histogram, the estimator §2.1 lists first.
+//
 // GridDensity is also a DensityEstimator: Evaluate(p) returns the merged
 // count of p's bucket divided by the cell volume, so it can drive the
 // generic BiasedSampler as an alternative to the KDE. The grid-specific
@@ -57,19 +61,13 @@ class GridDensity final : public DensityEstimator {
   double EvaluateExcluding(data::PointView x,
                            data::PointView self) const override;
 
-  // Cell-sorted batch overrides: queries are sorted by bucket id so each
-  // bucket group pays for its count lookup and count/cell_volume_ division
-  // ONCE instead of per point (the idea behind Kde's cell-grouped batches,
-  // kde.h, which group with a hash table instead of a sort). Identical
-  // operands give identical doubles, so results stay bitwise equal to the
-  // scalar calls; same executor/backpressure contract as the base class.
-  [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count, double* out,
-                       parallel::BatchExecutor* executor =
-                           nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingBatch(const double* rows, int64_t count,
-                                double* out,
-                                parallel::BatchExecutor* executor =
-                                    nullptr) const override;
+  // Cell-sorted batch path behind all three batch entry points: queries
+  // are sorted by bucket id so each bucket group pays for its count lookup
+  // and count/cell_volume_ division ONCE instead of per point (the idea
+  // behind Kde's cell-grouped batches, kde.h, which group with a hash table
+  // instead of a sort). Identical operands give identical doubles, so
+  // results stay bitwise equal to the scalar calls; same
+  // executor/backpressure contract as the base class.
   [[nodiscard]] Status EvaluateExcludingSelvesBatch(const double* rows,
                                       const double* selves, int64_t count,
                                       double* out,

@@ -411,20 +411,6 @@ void Kde::BatchRangeBrute(const double* rows, const double* selves,
   }
 }
 
-Status Kde::EvaluateBatch(const double* rows, int64_t count, double* out,
-                          parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/nullptr, count, out,
-                                      executor);
-}
-
-Status Kde::EvaluateExcludingBatch(const double* rows, int64_t count,
-                                   double* out,
-                                   parallel::BatchExecutor* executor) const {
-  // Leave-one-out: every row excludes itself.
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/rows, count, out,
-                                      executor);
-}
-
 Status Kde::EvaluateExcludingSelvesBatch(
     const double* rows, const double* selves, int64_t count, double* out,
     parallel::BatchExecutor* executor) const {

@@ -22,7 +22,7 @@
 //     chasing unordered_map nodes, and the {-1,0,1}^d neighbor-offset
 //     pattern is precomputed once at BuildIndex time instead of being
 //     re-enumerated per evaluation.
-//   * EvaluateBatch groups query points by grid cell in linear time (a
+//   * The batch path groups query points by grid cell in linear time (a
 //     hash table of the batch's cells, then a counting scatter), gathers
 //     each cell group's neighborhood once into a contiguous SoA tile
 //     (dim × tile arrays) and runs the frozen product-kernel block loop
@@ -99,15 +99,9 @@ class Kde final : public DensityEstimator {
   double EvaluateExcluding(data::PointView x,
                            data::PointView self) const override;
 
-  // Tuned batch paths (see header comment): bitwise identical to the
-  // per-point calls, kUnavailable only under executor backpressure.
-  [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count, double* out,
-                       parallel::BatchExecutor* executor =
-                           nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingBatch(const double* rows, int64_t count,
-                                double* out,
-                                parallel::BatchExecutor* executor =
-                                    nullptr) const override;
+  // The tuned batch path (see header comment) behind all three batch
+  // entry points: bitwise identical to the per-point calls, kUnavailable
+  // only under executor backpressure.
   [[nodiscard]] Status EvaluateExcludingSelvesBatch(const double* rows,
                                       const double* selves, int64_t count,
                                       double* out,

@@ -304,7 +304,7 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
     for (int64_t i = begin; i < end; ++i) {
       // Count includes the point itself; abort once p+1 OTHER neighbors
       // are certain (i.e. p+2 counting self).
-      const int64_t count = tree.CountWithinRadiusMetric(
+      const int64_t count = tree.CountWithinRadius(
           points[i], params.radius, params.metric, /*cap=*/p + 1);
       neighbor_counts[i] = count - 1;  // exclude self
     }

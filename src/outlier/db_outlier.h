@@ -42,13 +42,16 @@ struct DbOutlierParams {
 // The one check every DB(p,k) entry point runs on its parameters: the exact
 // detector and its oracle, the approximate detector's scoring stage, the
 // estimate and the serve layer's outlier scoring. Each comparison is
-// written so that NaN fails it: a radius must be finite and non-negative, a
-// fraction at most 1 (any negative value means "unset"), and an unset
-// fraction needs a non-negative count.
+// written so that NaN fails it: a radius must be non-negative with a finite
+// square, a fraction at most 1 (any negative value means "unset"), and an
+// unset fraction needs a non-negative count. The square bound (radius up
+// to ~1.34e154) holds for every metric: the L2 paths compare squared
+// distances against radius * radius, which must not overflow.
 [[nodiscard]] inline Status ValidateDbOutlierParams(
     const DbOutlierParams& params) {
-  if (!(params.radius >= 0 && std::isfinite(params.radius))) {
-    return Status::InvalidArgument("radius must be finite and non-negative");
+  if (!(params.radius >= 0 && std::isfinite(params.radius * params.radius))) {
+    return Status::InvalidArgument(
+        "radius must be non-negative and its square finite");
   }
   if (!(params.max_neighbor_fraction <= 1)) {
     return Status::InvalidArgument(

@@ -78,7 +78,7 @@ bool BuildCandidateGrid(const data::PointSet& candidates, double radius,
 
 // Bumps counts[c] once for every row of `scan` within params.radius of
 // candidate c, comparing only against the candidates of the row's 3^d
-// block. The comparisons are KdTree::WithinRadiusMetric's, so the counts
+// block. The comparisons are KdTree::WithinRadius's, so the counts
 // are the kd-tree loop's.
 void CountOnCandidateGrid(data::DataScan& scan,
                           const data::PointSet& candidates,
@@ -153,8 +153,7 @@ void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
                       [](double v) { return std::isnan(v); })) {
         continue;
       }
-      for (int64_t c :
-           tree.WithinRadiusMetric(x, params.radius, params.metric)) {
+      for (int64_t c : tree.WithinRadius(x, params.radius, params.metric)) {
         ++counts[c];
       }
     }

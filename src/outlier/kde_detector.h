@@ -147,7 +147,7 @@ struct PartialNeighborCounts {
 // comparisons; inputs the grid cannot serve — radius 0 or one whose square
 // is not a normal double, dimension above 6, a candidate box needing more
 // than 2^21 cells — take a kd-tree over the candidates. Both paths use
-// KdTree::WithinRadiusMetric's comparisons, and a row with a NaN coordinate
+// KdTree::WithinRadius's comparisons, and a row with a NaN coordinate
 // counts nothing.
 [[nodiscard]] Result<PartialNeighborCounts> CountCandidateNeighborsPartial(
     data::DataScan& scan, const OutlierCandidates& candidates,

@@ -42,7 +42,8 @@ namespace dbs::synth {
     }
     for (int j = 0; j < d; ++j) buf[j] = rng.NextDouble(lo[j], hi[j]);
     data::PointView candidate(buf.data(), d);
-    if (tree.CountWithinRadius(candidate, options.min_distance, 0) > 0) {
+    if (tree.CountWithinRadius(candidate, options.min_distance,
+                               data::Metric::kL2, 0) > 0) {
       continue;
     }
     bool near_planted = false;

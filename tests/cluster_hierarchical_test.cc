@@ -488,21 +488,5 @@ TEST(HierarchicalGoldenTest, FrozenAgglomerationHashes) {
   }
 }
 
-TEST(HierarchicalTest, NearestClusterByCentroidHelper) {
-  PointSet ps = BlobsOnCircle(3, 50, 0.02, 14);
-  HierarchicalOptions opts = NoElimination();
-  opts.num_clusters = 3;
-  auto result = HierarchicalCluster(ps, opts);
-  ASSERT_TRUE(result.ok());
-  // Each point's nearest centroid matches its label for tight blobs.
-  int agree = 0;
-  for (int64_t i = 0; i < ps.size(); ++i) {
-    if (NearestClusterByCentroid(*result, ps[i]) == result->labels[i]) {
-      ++agree;
-    }
-  }
-  EXPECT_GT(agree, ps.size() * 95 / 100);
-}
-
 }  // namespace
 }  // namespace dbs::cluster

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tuning.h"
 #include "data/point_set.h"
-#include "density/histogram_density.h"
+#include "density/grid_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -280,12 +279,15 @@ TEST(BiasedSamplerTest, PassCountsMatchTheContract) {
 }
 
 TEST(BiasedSamplerTest, WorksWithHistogramEstimator) {
-  // The framework is estimator-agnostic (§2.1); swap in the histogram.
+  // The framework is estimator-agnostic (§2.1); swap in the histogram: a
+  // grid whose cells all fit its budget is addressed directly, so its
+  // counts are the exact per-cell counts.
   Workload w = MakeWorkload(5000, 5000, 0, 11);
-  density::HistogramDensityOptions hopts;
-  hopts.cells_per_dim = 24;
-  auto hd = density::HistogramDensity::Fit(w.points, hopts);
+  density::GridDensityOptions gopts;
+  gopts.cells_per_dim = 24;
+  auto hd = density::GridDensity::Fit(w.points, gopts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   BiasedSamplerOptions opts;
   opts.a = 1.0;
   opts.target_size = 800;
@@ -338,27 +340,6 @@ TEST(BiasedSamplerTest, InclusionProbabilityHelper) {
   EXPECT_DOUBLE_EQ(sampler.InclusionProbability(2.0, 1000.0), 0.2);
   EXPECT_DOUBLE_EQ(sampler.InclusionProbability(50.0, 1000.0), 1.0);
   EXPECT_EQ(sampler.InclusionProbability(1.0, 0.0), 0.0);
-}
-
-TEST(TuningTest, RecommendedExponents) {
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kDenseClustersUnderNoise), 1.0);
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kDenseClustersLightNoise), 0.5);
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kSmallSparseClusters), -0.5);
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kMixedDensityClusters), -0.25);
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kFlattenDensity), -1.0);
-  EXPECT_EQ(RecommendedExponent(SamplingGoal::kUniform), 0.0);
-}
-
-TEST(TuningTest, RecommendedOptionsScaleWithDataset) {
-  auto opts =
-      RecommendedOptions(SamplingGoal::kDenseClustersUnderNoise, 1000000, 1);
-  EXPECT_EQ(opts.target_size, 10000);
-  EXPECT_EQ(opts.a, 1.0);
-  // Tiny dataset: floor applies.
-  auto small = RecommendedOptions(SamplingGoal::kUniform, 1000, 1);
-  EXPECT_EQ(small.target_size, 500);
-  EXPECT_EQ(RecommendedNumKernels(), 1000);
-  EXPECT_DOUBLE_EQ(RecommendedSampleFraction(), 0.01);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "core/biased_sampler.h"
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -25,14 +24,12 @@ namespace {
 
 using data::PointSet;
 
-enum class Backend { kKde, kHistogram, kGrid };
+enum class Backend { kKde, kGrid };
 
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kKde:
       return "kde";
-    case Backend::kHistogram:
-      return "histogram";
     case Backend::kGrid:
       return "grid";
   }
@@ -67,19 +64,14 @@ std::unique_ptr<density::DensityEstimator> FitBackend(Backend backend,
       DBS_CHECK(kde.ok());
       return std::make_unique<density::Kde>(std::move(kde).value());
     }
-    case Backend::kHistogram: {
-      density::HistogramDensityOptions opts;
-      opts.cells_per_dim = 24;
-      auto hd = density::HistogramDensity::Fit(ps, opts);
-      DBS_CHECK(hd.ok());
-      return std::make_unique<density::HistogramDensity>(
-          std::move(hd).value());
-    }
     case Backend::kGrid: {
+      // 24^2 cells fit the default budget, so the grid is addressed
+      // directly: the exact histogram, no hash collisions.
       density::GridDensityOptions opts;
       opts.cells_per_dim = 24;
       auto gd = density::GridDensity::Fit(ps, opts);
       DBS_CHECK(gd.ok());
+      DBS_CHECK(!gd->hashed());
       return std::make_unique<density::GridDensity>(std::move(gd).value());
     }
   }
@@ -173,8 +165,7 @@ TEST_P(SamplerPropertyTest, DeterministicPerSeed) {
 INSTANTIATE_TEST_SUITE_P(
     ExponentsAndBackends, SamplerPropertyTest,
     ::testing::Combine(::testing::Values(-1.0, -0.5, -0.25, 0.0, 0.5, 1.0),
-                       ::testing::Values(Backend::kKde, Backend::kHistogram,
-                                         Backend::kGrid)),
+                       ::testing::Values(Backend::kKde, Backend::kGrid)),
     [](const auto& param_info) {
       double a = std::get<0>(param_info.param);
       std::string name = a < 0 ? "neg" : (a == 0 ? "zero" : "pos");
@@ -191,8 +182,7 @@ TEST(SamplerRegionMassTest, RelativeDensitiesPreservedForAGreaterMinusOne) {
   PointSet ps = MixedDensityData(85);
   const double dense_area = 0.2 * 0.2;   // [0.05,0.25]^2
   const double sparse_area = 0.3 * 0.3;  // [0.6,0.9]^2
-  for (Backend backend :
-       {Backend::kKde, Backend::kHistogram, Backend::kGrid}) {
+  for (Backend backend : {Backend::kKde, Backend::kGrid}) {
     auto estimator = FitBackend(backend, ps);
     for (double a : {-0.5, 0.5}) {
       int64_t dense = 0;

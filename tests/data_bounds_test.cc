@@ -55,57 +55,5 @@ TEST(BoundingBoxTest, ExtendWithBox) {
   EXPECT_EQ(a.hi(0), 5.0);
 }
 
-TEST(UnitScalerTest, MapsBoxToUnitCube) {
-  PointSet ps(2, {2.0, 10.0, 4.0, 30.0});
-  UnitScaler scaler = UnitScaler::Fit(ps);
-  double out[2];
-  scaler.Transform(ps[0], out);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-  scaler.Transform(ps[1], out);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 1.0);
-}
-
-TEST(UnitScalerTest, RoundTrip) {
-  PointSet ps(3, {-5.0, 0.0, 2.0, 7.0, 3.0, 9.0, 1.0, 1.5, 4.0});
-  UnitScaler scaler = UnitScaler::Fit(ps);
-  for (int64_t i = 0; i < ps.size(); ++i) {
-    double unit[3];
-    double back[3];
-    scaler.Transform(ps[i], unit);
-    for (double u : unit) {
-      EXPECT_GE(u, 0.0);
-      EXPECT_LE(u, 1.0);
-    }
-    scaler.Inverse(PointView(unit, 3), back);
-    for (int j = 0; j < 3; ++j) EXPECT_NEAR(back[j], ps[i][j], 1e-12);
-  }
-}
-
-TEST(UnitScalerTest, DegenerateDimensionMapsToHalf) {
-  PointSet ps(2, {1.0, 5.0, 1.0, 9.0});  // dim 0 has zero extent
-  UnitScaler scaler = UnitScaler::Fit(ps);
-  double out[2];
-  scaler.Transform(ps[0], out);
-  EXPECT_DOUBLE_EQ(out[0], 0.5);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-}
-
-TEST(UnitScalerTest, TransformAll) {
-  PointSet ps(1, {0.0, 5.0, 10.0});
-  UnitScaler scaler = UnitScaler::Fit(ps);
-  PointSet unit = scaler.TransformAll(ps);
-  ASSERT_EQ(unit.size(), 3);
-  EXPECT_DOUBLE_EQ(unit[1][0], 0.5);
-}
-
-TEST(UnitScalerTest, ScaleLength) {
-  PointSet ps(2, {0.0, 0.0, 4.0, 8.0});
-  UnitScaler scaler = UnitScaler::Fit(ps);
-  EXPECT_DOUBLE_EQ(scaler.ScaleLength(0, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(scaler.ScaleLength(1, 2.0), 0.25);
-}
-
 }  // namespace
 }  // namespace dbs::data

@@ -54,8 +54,8 @@ TEST(KdTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0);
   PointSet q(2, {0.0, 0.0});
   EXPECT_EQ(tree.Nearest(q[0]), -1);
-  EXPECT_TRUE(tree.WithinRadius(q[0], 1.0).empty());
-  EXPECT_EQ(tree.CountWithinRadius(q[0], 1.0), 0);
+  EXPECT_TRUE(tree.WithinRadius(q[0], 1.0, Metric::kL2).empty());
+  EXPECT_EQ(tree.CountWithinRadius(q[0], 1.0, Metric::kL2), 0);
 }
 
 TEST(KdTreeTest, SinglePoint) {
@@ -90,11 +90,12 @@ TEST_P(KdTreeRandomTest, RadiusSearchMatchesBruteForce) {
   PointSet queries = MakeRandomPoints(20, dim, 777 + dim);
   for (int64_t qi = 0; qi < queries.size(); ++qi) {
     for (double r : {0.05, 0.2, 0.5}) {
-      std::vector<int64_t> got = tree.WithinRadius(queries[qi], r);
+      std::vector<int64_t> got =
+          tree.WithinRadius(queries[qi], r, Metric::kL2);
       std::vector<int64_t> want = BruteWithinRadius(ps, queries[qi], r);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, want) << "r=" << r;
-      EXPECT_EQ(tree.CountWithinRadius(queries[qi], r),
+      EXPECT_EQ(tree.CountWithinRadius(queries[qi], r, Metric::kL2),
                 static_cast<int64_t>(want.size()));
     }
   }
@@ -114,12 +115,14 @@ TEST(KdTreeTest, CountWithinRadiusEarlyAbort) {
   PointSet ps = MakeRandomPoints(1000, 2, 42);
   KdTree tree(&ps);
   PointSet q(2, {0.5, 0.5});
-  int64_t full = tree.CountWithinRadius(q[0], 0.4);
+  int64_t full = tree.CountWithinRadius(q[0], 0.4, Metric::kL2);
   ASSERT_GT(full, 10);
   // With cap=5 the count stops at 6 (cap+1).
-  EXPECT_EQ(tree.CountWithinRadius(q[0], 0.4, /*cap=*/5), 6);
+  EXPECT_EQ(tree.CountWithinRadius(q[0], 0.4, Metric::kL2, /*cap=*/5), 6);
   // A cap above the true count returns the true count.
-  EXPECT_EQ(tree.CountWithinRadius(q[0], 0.4, /*cap=*/full + 10), full);
+  EXPECT_EQ(
+      tree.CountWithinRadius(q[0], 0.4, Metric::kL2, /*cap=*/full + 10),
+      full);
 }
 
 TEST(KdTreeTest, ExcludeSkipsSelf) {
@@ -141,7 +144,8 @@ TEST(KdTreeTest, SubsetConstructor) {
   EXPECT_EQ(tree.Nearest(q[0]), 1);  // index into the original set
   PointSet q2(1, {29.0});
   EXPECT_EQ(tree.Nearest(q2[0]), 3);
-  std::vector<int64_t> in_radius = tree.WithinRadius(q[0], 100.0);
+  std::vector<int64_t> in_radius =
+      tree.WithinRadius(q[0], 100.0, Metric::kL2);
   std::sort(in_radius.begin(), in_radius.end());
   EXPECT_EQ(in_radius, (std::vector<int64_t>{1, 3}));
 }
@@ -151,8 +155,8 @@ TEST(KdTreeTest, DuplicatePointsAllReturned) {
   for (int i = 0; i < 30; ++i) ps.Append(std::vector<double>{1.0, 1.0});
   KdTree tree(&ps);
   PointSet q(2, {1.0, 1.0});
-  EXPECT_EQ(tree.CountWithinRadius(q[0], 0.0), 30);
-  EXPECT_EQ(tree.WithinRadius(q[0], 0.1).size(), 30u);
+  EXPECT_EQ(tree.CountWithinRadius(q[0], 0.0, Metric::kL2), 30);
+  EXPECT_EQ(tree.WithinRadius(q[0], 0.1, Metric::kL2).size(), 30u);
 }
 
 // Brute-force oracle for NearestExcludingGroup with the same lexicographic

@@ -1,10 +1,10 @@
 // Contract tests for the batched density paths: EvaluateBatch /
 // EvaluateExcludingBatch must be BITWISE identical to the per-point calls —
 // batching, cell-sorted SoA tiles, and executor sharding are execution
-// details, never semantic ones. Checked across all three estimator
-// backends, the KDE with the grid index on and off, 0/1/4 workers, and
-// against a frozen reference that forces every evaluation through the
-// pre-batching scalar virtuals.
+// details, never semantic ones. Checked across both estimator backends
+// (the KDE with its grid index on and off, the grid hashed and directly
+// addressed), 0/1/4 workers, and against a frozen reference that forces
+// every evaluation through the pre-batching scalar virtuals.
 
 #include <cstring>
 #include <vector>
@@ -14,7 +14,6 @@
 #include "data/bounds.h"
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
@@ -214,16 +213,15 @@ TEST_P(DensityBatchTest, GridDensityMatchesScalarBitwise) {
   auto grid = GridDensity::Fit(data, opts);
   ASSERT_TRUE(grid.ok());
   CheckEstimator(*grid, queries);
-}
 
-TEST_P(DensityBatchTest, HistogramDensityMatchesScalarBitwise) {
-  const int dim = GetParam();
-  data::PointSet data = MakeData(dim, 4000, 14);
-  data::PointSet queries = MakeQueries(data, 2000);
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 16;
-  auto hist = HistogramDensity::Fit(data, opts);
+  // The exact histogram: a budget of 2^20 buckets holds all 16^d cells up
+  // to d = 5, so every cell is addressed directly.
+  GridDensityOptions hist_opts;
+  hist_opts.cells_per_dim = 16;
+  hist_opts.memory_budget_bytes = int64_t{8} << 20;
+  auto hist = GridDensity::Fit(data, hist_opts);
   ASSERT_TRUE(hist.ok());
+  ASSERT_FALSE(hist->hashed());
   CheckEstimator(*hist, queries);
 }
 
@@ -301,6 +299,17 @@ TEST(DensityBatchEdgeTest, ManyRowsInFewCellsMatchScalar) {
   CheckEstimator(*kde, queries);
 }
 
+// A cell id is folded axis by axis, so the grid serves any dimensionality:
+// at 17-D the default 64 cells per axis hash into the default budget.
+TEST(DensityBatchEdgeTest, HashedGridBeyondSixteenDimsMatchesScalar) {
+  data::PointSet data = MakeData(17, 2000, 20);
+  data::PointSet queries = MakeQueries(data, 1000);
+  auto grid = GridDensity::Fit(data, GridDensityOptions{});
+  ASSERT_TRUE(grid.ok());
+  ASSERT_TRUE(grid->hashed());
+  CheckEstimator(*grid, queries);
+}
+
 TEST(DensityBatchEdgeTest, RoundTrippedKdeKeepsTheContract) {
   // FromState rebuilds the index and SoA layout from a serialized snapshot;
   // the batch contract must survive the round trip.
@@ -326,7 +335,7 @@ TEST(DensityBatchEdgeTest, RoundTrippedKdeKeepsTheContract) {
   CheckEstimator(*restored, queries);
 }
 
-// Grid/Histogram cell-sorted overrides on the awkward inputs: queries far
+// The grid's bucket-sorted batch on the awkward inputs: queries far
 // outside the fitted bounds (both paths clamp to edge cells) and cells that
 // never saw a point (zero mass). Data is confined to [0, 0.25]^2 while the
 // grids are fitted over explicit [0, 1]^2 bounds, so most cells are empty.
@@ -367,14 +376,7 @@ TEST(GridHistogramEdgeTest, OutOfBoundsAndZeroMassCellsMatchScalar) {
   ASSERT_TRUE(hashed->hashed());
   CheckEstimator(*hashed, queries);
 
-  HistogramDensityOptions hopts;
-  hopts.cells_per_dim = 8;
-  hopts.bounds = bounds;
-  auto hist = HistogramDensity::Fit(data, hopts);
-  ASSERT_TRUE(hist.ok());
-  CheckEstimator(*hist, queries);
-
-  // Semantic spot checks on the exact (collision-free) backends: a
+  // Semantic spot checks on the exact (directly addressed) grid: a
   // zero-mass cell evaluates to exactly +0.0, and out-of-bounds queries
   // clamp onto edge cells — the top-right corner cell is empty while the
   // bottom-left one holds data.
@@ -382,14 +384,11 @@ TEST(GridHistogramEdgeTest, OutOfBoundsAndZeroMassCellsMatchScalar) {
   const double far_out[2] = {7.0, 7.0};
   const double far_neg[2] = {-3.0, -3.0};
   const double occupied[2] = {0.1, 0.1};
-  EXPECT_EQ(hist->Evaluate(data::PointView(empty_cell, 2)), 0.0);
-  EXPECT_EQ(hist->Evaluate(data::PointView(far_out, 2)), 0.0);
-  EXPECT_EQ(hist->Evaluate(data::PointView(far_neg, 2)),
-            hist->Evaluate(data::PointView(occupied, 2)));
-  EXPECT_GT(hist->Evaluate(data::PointView(occupied, 2)), 0.0);
   EXPECT_EQ(grid->Evaluate(data::PointView(empty_cell, 2)), 0.0);
+  EXPECT_EQ(grid->Evaluate(data::PointView(far_out, 2)), 0.0);
   EXPECT_EQ(grid->Evaluate(data::PointView(far_neg, 2)),
             grid->Evaluate(data::PointView(occupied, 2)));
+  EXPECT_GT(grid->Evaluate(data::PointView(occupied, 2)), 0.0);
 }
 
 TEST(DensityBatchEdgeTest, MeanDensityPowMatchesAcrossExecutors) {

@@ -1,11 +1,11 @@
 #include "density/grid_density.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "density/histogram_density.h"
 #include "util/rng.h"
 
 namespace dbs::density {
@@ -23,6 +23,33 @@ PointSet UniformCube(int64_t n, int dim, uint64_t seed) {
     ps.Append(buf);
   }
   return ps;
+}
+
+// Linear id of p's cell in a `cells`^d equi-width grid over `bounds`,
+// binned independently of GridDensity: floor((x - lo) / width), clamped
+// onto the grid.
+int64_t TestCellId(PointView p, const data::BoundingBox& bounds, int cells) {
+  int64_t id = 0;
+  for (int j = 0; j < p.dim(); ++j) {
+    const double width = bounds.extent(j) / cells;
+    const int64_t c = static_cast<int64_t>(
+        std::floor((p[j] - bounds.lo(j)) / width));
+    id = id * cells + std::clamp<int64_t>(c, 0, cells - 1);
+  }
+  return id;
+}
+
+// The exact histogram of `ps`: one count per cell, indexed by TestCellId.
+std::vector<int64_t> TestCellCounts(const PointSet& ps,
+                                    const data::BoundingBox& bounds,
+                                    int cells) {
+  int64_t total = 1;
+  for (int j = 0; j < ps.dim(); ++j) total *= cells;
+  std::vector<int64_t> counts(static_cast<size_t>(total), 0);
+  for (int64_t i = 0; i < ps.size(); ++i) {
+    ++counts[static_cast<size_t>(TestCellId(ps[i], bounds, cells))];
+  }
+  return counts;
 }
 
 TEST(GridDensityTest, RejectsBadOptions) {
@@ -82,20 +109,46 @@ TEST(GridDensityTest, MatchesExactHistogramWhenBudgetIsAmple) {
   gopts.memory_budget_bytes = 1 << 20;  // 131072 buckets for 256 cells
   auto gd = GridDensity::Fit(ps, gopts);
   ASSERT_TRUE(gd.ok());
-
-  HistogramDensityOptions hopts;
-  hopts.cells_per_dim = 16;
-  hopts.bounds = bounds;
-  auto hd = HistogramDensity::Fit(ps, hopts);
-  ASSERT_TRUE(hd.ok());
+  const std::vector<int64_t> exact = TestCellCounts(ps, bounds, 16);
 
   EXPECT_FALSE(gd->hashed());
+  EXPECT_EQ(gd->num_buckets(), 256);
   dbs::Rng rng(5);
   const int probes = 500;
   for (int i = 0; i < probes; ++i) {
     double q[2] = {rng.NextDouble(), rng.NextDouble()};
     PointView p(q, 2);
-    EXPECT_EQ(gd->CellCount(p), hd->CellCount(p));
+    EXPECT_EQ(gd->CellCount(p),
+              exact[static_cast<size_t>(TestCellId(p, bounds, 16))]);
+  }
+}
+
+TEST(GridDensityTest, DirectCountsBeyondSixteenDims) {
+  // 2^17 cells fit the default budget, so a 17-D grid is addressed
+  // directly; its counts are the exact per-cell counts.
+  const int dim = 17;
+  PointSet ps = UniformCube(3000, dim, 12);
+  data::BoundingBox bounds(std::vector<double>(dim, 0.0),
+                           std::vector<double>(dim, 1.0));
+  GridDensityOptions opts;
+  opts.cells_per_dim = 2;
+  opts.bounds = bounds;
+  auto gd = GridDensity::Fit(ps, opts);
+  ASSERT_TRUE(gd.ok());
+  ASSERT_FALSE(gd->hashed());
+  EXPECT_EQ(gd->num_buckets(), int64_t{1} << dim);
+  EXPECT_EQ(gd->total_mass(), 3000);
+  const std::vector<int64_t> exact = TestCellCounts(ps, bounds, 2);
+  EXPECT_EQ(gd->num_occupied_buckets(),
+            std::count_if(exact.begin(), exact.end(),
+                          [](int64_t c) { return c > 0; }));
+  PointSet probes = UniformCube(500, dim, 13);
+  for (const PointSet* set : {&ps, &probes}) {
+    for (int64_t i = 0; i < set->size(); ++i) {
+      EXPECT_EQ(gd->CellCount((*set)[i]),
+                exact[static_cast<size_t>(TestCellId((*set)[i], bounds, 2))])
+          << "row " << i;
+    }
   }
 }
 
@@ -158,15 +211,19 @@ TEST(GridDensityTest, ProvidedBoundsSkipDiscoveryPass) {
   EXPECT_EQ(scan2.passes(), 2);
 }
 
-TEST(HistogramDensityTest, ExactCounts) {
+// The exact histogram is a GridDensity whose cells all fit its budget:
+// cells are then addressed directly (hashed() is false), one count each.
+
+TEST(ExactHistogramTest, ExactCounts) {
   // Values chosen away from bin boundaries (0.6/0.1 is not exactly 6 in
   // binary floating point, so boundary values would bin unpredictably).
   PointSet ps(1, {0.15, 0.25, 0.63, 0.61, 0.62, 0.99});
-  HistogramDensityOptions opts;
+  GridDensityOptions opts;
   opts.cells_per_dim = 10;
   opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
+  auto hd = GridDensity::Fit(ps, opts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   double q1 = 0.15;
   double q6 = 0.65;
   double q9 = 0.95;
@@ -179,20 +236,14 @@ TEST(HistogramDensityTest, ExactCounts) {
   EXPECT_DOUBLE_EQ(hd->Evaluate(PointView(&q6, 1)), 30.0);
 }
 
-TEST(HistogramDensityTest, RejectsExcessiveCells) {
-  PointSet ps = UniformCube(100, 5, 10);
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 1000;  // 10^15 cells
-  EXPECT_FALSE(HistogramDensity::Fit(ps, opts).ok());
-}
-
-TEST(HistogramDensityTest, IntegralIsN) {
+TEST(ExactHistogramTest, IntegralIsN) {
   PointSet ps = UniformCube(4000, 2, 11);
-  HistogramDensityOptions opts;
+  GridDensityOptions opts;
   opts.cells_per_dim = 8;
   opts.bounds = data::BoundingBox({0.0, 0.0}, {1.0, 1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
+  auto hd = GridDensity::Fit(ps, opts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   // Sum over a regular probe of cell centers: count/vol * vol per cell = n.
   double integral = 0.0;
   for (int a = 0; a < 8; ++a) {
@@ -204,13 +255,14 @@ TEST(HistogramDensityTest, IntegralIsN) {
   EXPECT_NEAR(integral, 4000.0, 1e-6);
 }
 
-TEST(HistogramDensityTest, OutOfDomainPointsClampToEdgeCells) {
+TEST(ExactHistogramTest, OutOfDomainPointsClampToEdgeCells) {
   PointSet ps(1, {0.5});
-  HistogramDensityOptions opts;
+  GridDensityOptions opts;
   opts.cells_per_dim = 4;
   opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
+  auto hd = GridDensity::Fit(ps, opts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   double below = -5.0;
   double above = 5.0;
   // Clamped lookups do not crash and return edge-cell counts.

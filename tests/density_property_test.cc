@@ -1,6 +1,6 @@
 // Property sweeps for the KDE across kernel types, bandwidth rules, and
 // dimensionalities, plus the leave-one-out evaluation contract shared by
-// all three estimator backends.
+// both estimator backends, the KDE and the grid.
 
 #include <algorithm>
 #include <cmath>
@@ -13,7 +13,6 @@
 
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -149,12 +148,14 @@ TEST(LeaveOneOutTest, DefaultEstimatorInterfaceIsANoop) {
 }
 
 TEST(LeaveOneOutTest, HistogramDropsOneCount) {
+  // The exact histogram: a grid addressed directly, one count per cell.
   PointSet ps(1, {0.15, 0.16, 0.85});
-  HistogramDensityOptions opts;
+  GridDensityOptions opts;
   opts.cells_per_dim = 10;
   opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
+  auto hd = GridDensity::Fit(ps, opts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   // Cell of 0.15 holds two points; excluding self leaves one.
   EXPECT_DOUBLE_EQ(hd->Evaluate(ps[0]), 20.0);
   EXPECT_DOUBLE_EQ(hd->EvaluateExcluding(ps[0], ps[0]), 10.0);

@@ -5,7 +5,6 @@
 // in the unit suite.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -13,12 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/birch.h"
-#include "cluster/dbscan.h"
 #include "cluster/hierarchical.h"
-#include "cluster/kmeans.h"
 #include "core/biased_sampler.h"
 #include "core/grid_biased_sampler.h"
-#include "core/tuning.h"
 #include "data/dataset_io.h"
 #include "density/grid_density.h"
 #include "density/kde.h"
@@ -31,7 +27,6 @@
 #include "synth/geo.h"
 #include "synth/outlier_planting.h"
 #include "test_temp.h"
-#include "util/rng.h"
 
 namespace dbs {
 namespace {
@@ -250,86 +245,6 @@ TEST(IntegrationTest, GridSamplerPipeline) {
   EXPECT_GE(eval::MatchClusters(*clustering, ds.truth).num_found(), 4);
 }
 
-TEST(IntegrationTest, DbscanOnBiasedSampleUnderNoise) {
-  // a = 1 suppresses noise in the sample, so DBSCAN's absolute density
-  // threshold separates the clusters cleanly even though the RAW data has
-  // 60% noise. The epsilon is set from the sample geometry: ~2.5x the
-  // expected in-cluster sample spacing.
-  synth::ClusteredDatasetOptions data_opts;
-  data_opts.num_clusters = 5;
-  data_opts.num_cluster_points = 20000;
-  // Similar extents keep the a=1 sample from concentrating in one
-  // (denser) box, which would starve the others below DBSCAN's density
-  // threshold.
-  data_opts.min_extent = 0.10;
-  data_opts.max_extent = 0.16;
-  data_opts.noise_multiplier = 0.6;
-  data_opts.seed = 43;
-  auto ds_result = synth::MakeClusteredDataset(data_opts);
-  ASSERT_TRUE(ds_result.ok());
-  synth::ClusteredDataset& ds = *ds_result;
-  density::KdeOptions kde_opts;
-  kde_opts.num_kernels = 400;
-  kde_opts.bandwidth_scale = 0.3;
-  auto kde = density::Kde::Fit(ds.points, kde_opts);
-  ASSERT_TRUE(kde.ok());
-  core::BiasedSamplerOptions sampler_opts;
-  sampler_opts.a = 1.0;
-  sampler_opts.target_size = 1000;
-  auto sample = core::BiasedSampler(sampler_opts).Run(ds.points, *kde);
-  ASSERT_TRUE(sample.ok());
-
-  cluster::DbscanOptions dbscan_opts;
-  dbscan_opts.epsilon = 0.035;
-  dbscan_opts.min_points = 4;
-  auto clustering = cluster::DbscanCluster(sample->points, dbscan_opts);
-  ASSERT_TRUE(clustering.ok());
-  EXPECT_GE(eval::MatchClusters(*clustering, ds.truth).num_found(), 4);
-}
-
-TEST(IntegrationTest, WeightedKMeansOnBiasedSampleIsUnbiased) {
-  // §3.1: weighting sample points by inverse inclusion probability makes
-  // k-means on the sample estimate the full-data centroids. One elongated
-  // density gradient cluster: an UNWEIGHTED biased sample (a=1) drags the
-  // 1-means center toward the dense end; weights correct it.
-  Rng rng(31);
-  data::PointSet points(1);
-  // Density rises linearly across [0, 1]: P(x) ~ x.
-  for (int i = 0; i < 40000; ++i) {
-    double x = std::sqrt(rng.NextDouble());
-    points.Append(&x);
-  }
-  double true_mean = 0;
-  for (int64_t i = 0; i < points.size(); ++i) true_mean += points[i][0];
-  true_mean /= static_cast<double>(points.size());
-
-  density::KdeOptions kde_opts;
-  kde_opts.num_kernels = 400;
-  auto kde = density::Kde::Fit(points, kde_opts);
-  ASSERT_TRUE(kde.ok());
-  core::BiasedSamplerOptions sampler_opts;
-  sampler_opts.a = 1.0;
-  sampler_opts.target_size = 4000;
-  auto sample = core::BiasedSampler(sampler_opts).Run(points, *kde);
-  ASSERT_TRUE(sample.ok());
-
-  cluster::KMeansOptions km;
-  km.num_clusters = 1;
-  auto unweighted = cluster::KMeansCluster(sample->points, {}, km);
-  auto weighted =
-      cluster::KMeansCluster(sample->points, sample->Weights(), km);
-  ASSERT_TRUE(unweighted.ok());
-  ASSERT_TRUE(weighted.ok());
-  double unweighted_err =
-      std::abs(unweighted->clustering.clusters[0].centroid[0] - true_mean);
-  double weighted_err =
-      std::abs(weighted->clustering.clusters[0].centroid[0] - true_mean);
-  // The biased sample noticeably shifts the unweighted mean; the weighted
-  // mean lands close to the truth.
-  EXPECT_GT(unweighted_err, 2 * weighted_err);
-  EXPECT_LT(weighted_err, 0.02);
-}
-
 TEST(IntegrationTest, OnePassPipelineMatchesTwoPassQuality) {
   synth::ClusteredDataset ds = MakeNoisy(0.3, 1.0, 37);
   density::KdeOptions kde_opts;
@@ -352,13 +267,18 @@ TEST(IntegrationTest, OnePassPipelineMatchesTwoPassQuality) {
 }
 
 TEST(IntegrationTest, TuningPresetsDriveTheRightPipelines) {
-  // The practitioner-guide presets produce working configurations.
+  // The practitioner's guide (README) for dense clusters under heavy
+  // noise: a = 1, 1000 kernels, and a sample of 1% of the dataset with a
+  // floor of 500 points.
   synth::ClusteredDataset noisy = MakeNoisy(0.5, 1.0, 41);
-  auto opts = core::RecommendedOptions(
-      core::SamplingGoal::kDenseClustersUnderNoise, noisy.points.size(), 1);
-  EXPECT_EQ(opts.a, 1.0);
+  core::BiasedSamplerOptions opts;
+  opts.a = 1.0;
+  opts.target_size = std::max<int64_t>(
+      500, static_cast<int64_t>(0.01 * static_cast<double>(
+                                           noisy.points.size())));
+  opts.seed = 1;
   density::KdeOptions kde_opts;
-  kde_opts.num_kernels = core::RecommendedNumKernels();
+  kde_opts.num_kernels = 1000;
   kde_opts.bandwidth_scale = 0.3;
   auto kde = density::Kde::Fit(noisy.points, kde_opts);
   ASSERT_TRUE(kde.ok());

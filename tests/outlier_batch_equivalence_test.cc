@@ -2,7 +2,7 @@
 // batched form (center-value through the estimator's leave-one-out batch,
 // quasi-Monte-Carlo through the probe-tile expansion) must be BITWISE
 // identical to the per-point IntegrateExcludingSelf across every estimator
-// backend {Kde, GridDensity, HistogramDensity}, dims {1, 2, 5}, worker
+// backend {Kde, GridDensity hashed and direct}, dims {1, 2, 5}, worker
 // counts {0, 1, 4}, and qmc_samples {1, 64}. A frozen pre-batching golden
 // vector pins the arithmetic itself, so a regression that moves the scalar
 // and batch paths TOGETHER is still caught.
@@ -17,7 +17,6 @@
 #include "data/distance.h"
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "outlier/ball_integration.h"
 #include "parallel/batch_executor.h"
@@ -128,20 +127,14 @@ TEST_P(OutlierBatchTest, GridDensityQmcMatchesScalarBitwise) {
                     0.1);
   }
   CheckIntegrator(*grid, scored, BallIntegration::kCenterValue, 1, 0.1);
-}
 
-TEST_P(OutlierBatchTest, HistogramDensityQmcMatchesScalarBitwise) {
-  const int dim = GetParam();
-  data::PointSet data = MakeData(dim, 600, 43);
-  density::HistogramDensityOptions opts;
-  opts.cells_per_dim = 8;
-  auto hist = density::HistogramDensity::Fit(data, opts);
+  // The exact histogram: 8^d cells fit the default budget up to d = 5, so
+  // every cell is addressed directly.
+  density::GridDensityOptions hist_opts;
+  hist_opts.cells_per_dim = 8;
+  auto hist = density::GridDensity::Fit(data, hist_opts);
   ASSERT_TRUE(hist.ok());
-  data::PointSet scored = data.Gather([&] {
-    std::vector<int64_t> idx;
-    for (int64_t i = 0; i < 150; ++i) idx.push_back(i * 4);
-    return idx;
-  }());
+  ASSERT_FALSE(hist->hashed());
   for (int qmc : {1, 64}) {
     CheckIntegrator(*hist, scored, BallIntegration::kQuasiMonteCarlo, qmc,
                     0.1);

@@ -395,8 +395,9 @@ TEST(CellListTest, RejectsBadArgsWithSameMessagesAsKdTree) {
 
 TEST(CellListTest, RejectsNonFiniteParams) {
   PointSet ps = MixedWorkload(2, 100, 100, 0, 59);
+  // 1e155 is finite, but its square overflows to +inf.
   for (double radius : {std::nan(""), std::numeric_limits<double>::infinity(),
-                        -std::numeric_limits<double>::infinity()}) {
+                        -std::numeric_limits<double>::infinity(), 1e155}) {
     SCOPED_TRACE(radius);
     DbOutlierParams params;
     params.radius = radius;

@@ -46,8 +46,7 @@ TEST(KdTreeMetricTest, MatchesBruteForceForAllMetrics) {
                          rng.NextDouble()};
       PointView p(query, 3);
       for (double radius : {0.05, 0.2}) {
-        std::vector<int64_t> got =
-            tree.WithinRadiusMetric(p, radius, metric);
+        std::vector<int64_t> got = tree.WithinRadius(p, radius, metric);
         std::sort(got.begin(), got.end());
         std::vector<int64_t> want;
         for (int64_t i = 0; i < ps.size(); ++i) {
@@ -57,7 +56,7 @@ TEST(KdTreeMetricTest, MatchesBruteForceForAllMetrics) {
         }
         EXPECT_EQ(got, want) << "metric=" << static_cast<int>(metric)
                              << " r=" << radius;
-        EXPECT_EQ(tree.CountWithinRadiusMetric(p, radius, metric),
+        EXPECT_EQ(tree.CountWithinRadius(p, radius, metric),
                   static_cast<int64_t>(want.size()));
       }
     }
@@ -69,9 +68,9 @@ TEST(KdTreeMetricTest, CapAbortsEarly) {
   data::KdTree tree(&ps);
   double q[2] = {0.5, 0.5};
   PointView p(q, 2);
-  int64_t full = tree.CountWithinRadiusMetric(p, 0.3, Metric::kL1);
+  int64_t full = tree.CountWithinRadius(p, 0.3, Metric::kL1);
   ASSERT_GT(full, 20);
-  EXPECT_EQ(tree.CountWithinRadiusMetric(p, 0.3, Metric::kL1, 10), 11);
+  EXPECT_EQ(tree.CountWithinRadius(p, 0.3, Metric::kL1, 10), 11);
 }
 
 TEST(ExactDetectorMetricTest, MetricChangesTheNeighborhood) {

@@ -280,8 +280,9 @@ TEST(KdeDetectorTest, RejectsBadOptions) {
 TEST(KdeDetectorTest, RejectsNonFiniteRadius) {
   PlantedWorkload w = MakePlanted(500, 2, 6);
   density::Kde kde = FitKde(w.points);
+  // 1e155 is finite, but its square overflows to +inf.
   for (double radius :
-       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+       {std::nan(""), std::numeric_limits<double>::infinity(), 1e155}) {
     SCOPED_TRACE(radius);
     DbOutlierParams params;
     params.radius = radius;
@@ -411,12 +412,16 @@ TEST(EstimateOutlierCountTest, TracksTrueCount) {
 TEST(EstimateOutlierCountTest, RejectsNanRadius) {
   PlantedWorkload w = MakePlanted(500, 2, 14);
   density::Kde kde = FitKde(w.points);
-  DbOutlierParams params;
-  params.radius = std::nan("");
-  auto estimate =
-      EstimateOutlierCount(w.points, kde, params, KdeDetectorOptions{});
-  ASSERT_FALSE(estimate.ok());
-  EXPECT_EQ(estimate.status().code(), dbs::StatusCode::kInvalidArgument);
+  // 1e155 is finite, but its square overflows to +inf.
+  for (double radius : {std::nan(""), 1e155}) {
+    SCOPED_TRACE(radius);
+    DbOutlierParams params;
+    params.radius = radius;
+    auto estimate =
+        EstimateOutlierCount(w.points, kde, params, KdeDetectorOptions{});
+    ASSERT_FALSE(estimate.ok());
+    EXPECT_EQ(estimate.status().code(), dbs::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EstimateOutlierCountTest, GrowsAsRadiusShrinks) {

@@ -42,7 +42,7 @@ bool HasNan(data::PointView x) {
 }
 
 // Rows [begin, end) of `rows` within `radius` of each candidate, under the
-// comparisons KdTree::WithinRadiusMetric makes. A row with a NaN coordinate
+// comparisons KdTree::WithinRadius makes. A row with a NaN coordinate
 // is nobody's neighbour, as in the verify pass: without the skip, Linf's
 // std::max would drop the NaN axis (NanAndInfiniteRowsCountNothing shows
 // the skip changes nothing under L2 and L1).

@@ -1,13 +1,10 @@
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
-#include "sampling/reservoir_sampler.h"
 #include "sampling/uniform_sampler.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace dbs::sampling {
@@ -96,57 +93,6 @@ TEST(BernoulliSampleTest, DeterministicPerSeed) {
   for (int64_t i = 0; i < a->size(); ++i) {
     EXPECT_EQ((*a)[i][0], (*b)[i][0]);
   }
-}
-
-TEST(ReservoirTest, ExactSize) {
-  PointSet ps = Sequential1d(10000);
-  auto s = ReservoirSample(ps, 321, 1);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->size(), 321);
-}
-
-TEST(ReservoirTest, SmallDatasetKeepsAll) {
-  PointSet ps = Sequential1d(50);
-  auto s = ReservoirSample(ps, 100, 1);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->size(), 50);
-  // All original values present.
-  std::vector<double> vals;
-  for (int64_t i = 0; i < s->size(); ++i) vals.push_back((*s)[i][0]);
-  std::sort(vals.begin(), vals.end());
-  for (int64_t i = 0; i < 50; ++i) EXPECT_EQ(vals[i], i);
-}
-
-TEST(ReservoirTest, RejectsBadCapacity) {
-  PointSet ps = Sequential1d(10);
-  EXPECT_FALSE(ReservoirSample(ps, 0, 1).ok());
-}
-
-TEST(ReservoirTest, EveryItemEquallyLikely) {
-  // n=20, k=5, many trials: each item appears with frequency k/n = 0.25.
-  const int64_t n = 20;
-  const int64_t k = 5;
-  const int trials = 40000;
-  PointSet ps = Sequential1d(n);
-  std::vector<double> counts(n, 0.0);
-  for (int t = 0; t < trials; ++t) {
-    auto s = ReservoirSample(ps, k, 1000 + t);
-    ASSERT_TRUE(s.ok());
-    for (int64_t i = 0; i < s->size(); ++i) {
-      counts[static_cast<int64_t>((*s)[i][0])] += 1.0;
-    }
-  }
-  std::vector<double> expected(n, trials * static_cast<double>(k) / n);
-  EXPECT_LT(dbs::ChiSquareStatistic(counts, expected),
-            dbs::ChiSquareCritical999(static_cast<int>(n) - 1));
-}
-
-TEST(ReservoirTest, StreamingOfferMatchesBatch) {
-  PointSet ps = Sequential1d(1000);
-  Reservoir reservoir(10, 1, 99);
-  for (int64_t i = 0; i < ps.size(); ++i) reservoir.Offer(ps[i]);
-  EXPECT_EQ(reservoir.seen(), 1000);
-  EXPECT_EQ(reservoir.sample().size(), 10);
 }
 
 }  // namespace
