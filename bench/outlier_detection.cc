@@ -10,12 +10,20 @@
 //   * end-to-end runtime vs the exact cell-list detector and the O(n^2)
 //     nested-loop oracle.
 //
-// mode=batch switches to the perf-smoke harness for the batched scorer:
-// it times the per-point IntegrateExcludingSelf loop against the
-// probe-tiled IntegrateExcludingSelfBatch (sequential and sharded across a
-// BatchExecutor) on the same queries, checks every batched score bitwise
-// against the scalar ones, and exits nonzero on any mismatch — CI runs
-// this as the regression gate for the batch rollout.
+// mode=batch switches to the perf-smoke harness for the batched scorer.
+// For both integration methods it times the per-point
+// IntegrateExcludingSelf loop against IntegrateExcludingSelfBatch,
+// sequential and sharded across a BatchExecutor, on the same queries:
+// quasi-Monte-Carlo through the probe tiles, and center-value — the
+// detector's scoring pass — with no score cap, with the detector's
+// threshold slack * (p + 1) = 5 * 6 as the cap (Kde then stops a row's
+// kernel sum once the row is certain to score above it), and with the
+// median score as the cap, so that rows on both sides of a cap are
+// checked whatever the data. It exits nonzero when a full batch score
+// differs bitwise from the scalar one, when a capped score decides
+// `score <= cap` differently, or when a capped score at or below the cap
+// differs in its bits — CI runs this as the regression gate for the batch
+// paths and the cap.
 //
 // mode=exact times the exact detector (DetectOutliersCellList) over dims= x
 // workers= on a clustered workload, checks every report field against the
@@ -45,6 +53,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -147,8 +156,32 @@ int64_t CountMismatches(const std::vector<double>& got,
   return bad;
 }
 
-// mode=batch: scalar vs batched QMC ball scoring, bitwise-checked. Returns
-// the process exit code (nonzero on any batch/scalar mismatch).
+// Rows where a batch score breaks its contract against the full scalar
+// score: a different `score <= cap` decision, or different bits at or
+// below the cap (every row, when cap = +inf). *stopped counts the rows
+// above the cap whose score differs from the full one, i.e. whose sum
+// stopped early.
+int64_t CountCapMismatches(const std::vector<double>& got,
+                           const std::vector<double>& full, double cap,
+                           int64_t* stopped) {
+  DBS_CHECK(got.size() == full.size());
+  int64_t bad = 0;
+  *stopped = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const bool below = full[i] <= cap;
+    if (below != (got[i] <= cap) ||
+        (below && std::memcmp(&got[i], &full[i], sizeof(double)) != 0)) {
+      ++bad;
+    } else if (!below && got[i] != full[i]) {
+      ++*stopped;
+    }
+  }
+  return bad;
+}
+
+// mode=batch: scalar vs batched ball scoring, QMC and center-value (full
+// and capped), bitwise-checked. Returns the process exit code (nonzero on
+// any mismatch).
 int RunBatchMode(int64_t points, int64_t queries, int qmc_samples, int reps,
                  int threads, double radius) {
   std::printf("outlier_detection mode=batch: %lld points, %lld queries, "
@@ -203,25 +236,90 @@ int RunBatchMode(int64_t points, int64_t queries, int qmc_samples, int reps,
                                                got.data(), &executor)
                   .ok());
   });
-  executor.Shutdown();
   const int64_t sharded_bad = CountMismatches(got, ref);
 
-  std::printf("%18s %10s %14s %9s %10s\n", "series", "seconds",
+  // Center-value leave-one-out, the detector's scoring pass: the scalar
+  // loop, then the batch with no cap and with the detector's threshold as
+  // the cap, each sequential and sharded, and with the median score as
+  // the cap.
+  const dbs::outlier::BallIntegrator center(
+      dbs::outlier::BallIntegration::kCenterValue, scored.dim());
+  std::vector<double> cv_ref(static_cast<size_t>(nq));
+  const double cv_scalar_s = TimeBest(reps, [&] {
+    for (int64_t i = 0; i < nq; ++i) {
+      cv_ref[static_cast<size_t>(i)] =
+          center.IntegrateExcludingSelf(kde, scored[i], radius);
+    }
+  });
+  const double cap = 5.0 * (5 + 1);
+  std::vector<double> sorted_ref = cv_ref;
+  std::nth_element(sorted_ref.begin(),
+                   sorted_ref.begin() + static_cast<int64_t>(nq / 2),
+                   sorted_ref.end());
+  const double median_cap = sorted_ref[static_cast<size_t>(nq / 2)];
+  struct CenterSeries {
+    const char* name;
+    dbs::parallel::BatchExecutor* executor;
+    double cap;
+    double seconds = 0.0;
+    int64_t bad = 0;
+    int64_t stopped = 0;
+  };
+  const double kNoCap = std::numeric_limits<double>::infinity();
+  CenterSeries cv_series[] = {
+      {"batch_cv", nullptr, kNoCap},
+      {"batch_cv_sharded", &executor, kNoCap},
+      {"batch_cv_capped", nullptr, cap},
+      {"batch_cv_capped_sharded", &executor, cap},
+      {"batch_cv_capped_median", nullptr, median_cap}};
+  for (CenterSeries& series : cv_series) {
+    series.seconds = TimeBest(reps, [&] {
+      DBS_CHECK(center
+                    .IntegrateExcludingSelfBatch(kde, rows, nq, radius,
+                                                 got.data(), series.executor,
+                                                 series.cap)
+                    .ok());
+    });
+    series.bad =
+        CountCapMismatches(got, cv_ref, series.cap, &series.stopped);
+  }
+  executor.Shutdown();
+
+  std::printf("%24s %10s %14s %9s %10s\n", "series", "seconds",
               "points_per_sec", "speedup", "mismatch");
-  auto row = [&](const char* series, double seconds, int64_t bad) {
-    std::printf("%18s %10.4f %14.0f %8.2fx %10lld\n", series, seconds,
+  auto row = [&](const char* series, double seconds, double scalar_seconds,
+                 int64_t bad) {
+    std::printf("%24s %10.4f %14.0f %8.2fx %10lld\n", series, seconds,
                 seconds > 0 ? static_cast<double>(nq) / seconds : 0.0,
-                seconds > 0 ? scalar_s / seconds : 0.0,
+                seconds > 0 ? scalar_seconds / seconds : 0.0,
                 static_cast<long long>(bad));
   };
-  row("scalar_qmc", scalar_s, 0);
-  row("batch_qmc", batch_s, batch_bad);
-  row("batch_qmc_sharded", sharded_s, sharded_bad);
+  row("scalar_qmc", scalar_s, scalar_s, 0);
+  row("batch_qmc", batch_s, scalar_s, batch_bad);
+  row("batch_qmc_sharded", sharded_s, scalar_s, sharded_bad);
+  row("scalar_cv", cv_scalar_s, cv_scalar_s, 0);
+  int64_t total_bad = batch_bad + sharded_bad;
+  for (const CenterSeries& series : cv_series) {
+    row(series.name, series.seconds, cv_scalar_s, series.bad);
+    total_bad += series.bad;
+  }
+  std::printf("\n");
+  for (const CenterSeries& series : cv_series) {
+    if (series.cap == kNoCap || series.executor != nullptr) continue;
+    const int64_t at_or_below =
+        std::count_if(cv_ref.begin(), cv_ref.end(),
+                      [&](double v) { return v <= series.cap; });
+    std::printf("%s: cap %g, %lld of %lld rows score at or below it, %lld "
+                "rows stopped early\n",
+                series.name, series.cap, static_cast<long long>(at_or_below),
+                static_cast<long long>(nq),
+                static_cast<long long>(series.stopped));
+  }
 
-  const int64_t total_bad = batch_bad + sharded_bad;
   if (total_bad > 0) {
     std::fprintf(stderr,
-                 "FAIL: %lld batched scores differ bitwise from scalar\n",
+                 "FAIL: %lld batched scores differ bitwise from scalar or "
+                 "break the cap's contract\n",
                  static_cast<long long>(total_bad));
     return 1;
   }

@@ -17,6 +17,13 @@ Status DensityEstimator::EvaluateExcludingBatch(
                                       executor);
 }
 
+Status DensityEstimator::EvaluateExcludingBatchCapped(
+    const double* rows, int64_t count, double cap, double* out,
+    parallel::BatchExecutor* executor) const {
+  (void)cap;
+  return EvaluateExcludingBatch(rows, count, out, executor);
+}
+
 Status DensityEstimator::EvaluateExcludingSelvesBatch(
     const double* rows, const double* selves, int64_t count, double* out,
     parallel::BatchExecutor* executor) const {

@@ -64,6 +64,18 @@ class DensityEstimator {
                                               parallel::BatchExecutor*
                                                   executor = nullptr) const;
 
+  // EvaluateExcludingBatch for a caller that only asks whether each value
+  // is <= cap, as the outlier scorer does: out[i] is EvaluateExcludingBatch's
+  // value when that value is <= cap, and otherwise some value > cap. A
+  // backend may stop a row's sum once it is certain to end above the cap
+  // (Kde does: its kernel terms are non-negative, DESIGN.md §9); this
+  // default ignores the cap and calls EvaluateExcludingBatch. Same
+  // backpressure contract as EvaluateBatch. Callers that hand values on,
+  // rather than compare them, use the uncapped entry points.
+  [[nodiscard]] virtual Status EvaluateExcludingBatchCapped(
+      const double* rows, int64_t count, double cap, double* out,
+      parallel::BatchExecutor* executor = nullptr) const;
+
   // Number of data points the estimator was built over (the approximate
   // integral of Evaluate over the whole domain).
   virtual int64_t total_mass() const = 0;

@@ -113,10 +113,13 @@ int64_t GridDensity::BucketOf(data::PointView p) const {
   // Each axis's clamped cell folds into the id as soon as it is computed,
   // so any dimensionality works: into the linear cell id when cells are
   // addressed directly, into the cell's hash otherwise.
+  // The clamp runs in floating point, before the cast, so that a value
+  // past int64's range lands in the edge cell; NaN lands in cell 0.
   auto cell = [&](int j) {
-    const int64_t c = static_cast<int64_t>(
-        std::floor((p[j] - bounds_.lo(j)) / cell_width_[j]));
-    return std::clamp<int64_t>(c, 0, cells_per_dim_ - 1);
+    const double c = std::floor((p[j] - bounds_.lo(j)) / cell_width_[j]);
+    if (!(c > 0.0)) return int64_t{0};
+    const auto last = static_cast<double>(cells_per_dim_ - 1);
+    return c < last ? static_cast<int64_t>(c) : cells_per_dim_ - 1;
   };
   if (!hashed_) {
     int64_t linear = 0;

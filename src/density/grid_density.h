@@ -77,7 +77,9 @@ class GridDensity final : public DensityEstimator {
   // Merged count of the bucket that p's cell hashes to.
   int64_t CellCount(data::PointView p) const;
 
-  // Bucket index of p's cell (stable for the lifetime of the summary).
+  // Bucket index of p's cell (stable for the lifetime of the summary). A
+  // coordinate outside the bounds counts in the edge cell on its side, a
+  // NaN one in cell 0.
   int64_t BucketOf(data::PointView p) const;
 
   // sum over buckets of count^e — the normalizer used by the [22]-style

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "density/kde_partial.h"
 #include "density/kernel_block.h"
+#include "util/math.h"
 
 namespace dbs::density {
 namespace {
@@ -71,14 +73,13 @@ void Kde::BuildIndex() {
   // each bucket keeps its centers in index order — the same order the
   // per-bucket vectors of the former unordered_map had, which is the
   // summation order the bitwise-reproducibility contract pins down.
+  // A center whose cell cannot be represented leaves the model unindexed:
+  // every evaluation then takes the brute-force sum, which is exact.
   std::vector<std::pair<uint64_t, int32_t>> entries(
       static_cast<size_t>(m));
   std::vector<int64_t> cell(dim);
   for (int64_t i = 0; i < m; ++i) {
-    data::PointView c = centers_[i];
-    for (int j = 0; j < dim; ++j) {
-      cell[j] = static_cast<int64_t>(std::floor(c[j] / cell_extent_[j]));
-    }
+    if (!CellOf(centers_[i].data(), cell.data())) return;
     entries[static_cast<size_t>(i)] = {HashCell(cell.data(), dim),
                                        static_cast<int32_t>(i)};
   }
@@ -152,6 +153,17 @@ void Kde::BuildIndex() {
     }
   }
   indexed_ = true;
+}
+
+bool Kde::CellOf(const double* p, int64_t* cell) const {
+  for (int j = 0; j < dim(); ++j) {
+    const double c = std::floor(p[j] / cell_extent_[j]);
+    // NaN fails both tests. -2^63 fails too, so that the neighbor cell
+    // cell[j] - 1 cannot overflow.
+    if (!(c > -0x1p63 && c < 0x1p63)) return false;
+    cell[j] = static_cast<int64_t>(c);
+  }
+  return true;
 }
 
 bool Kde::FindBucket(uint64_t key, int32_t* begin, int32_t* end) const {
@@ -232,9 +244,7 @@ double Kde::SumIndexed(data::PointView p, data::PointView exclude) const {
   DBS_DCHECK(p.dim() == dim());
   const int d = dim();
   int64_t base[kMaxIndexDim];
-  for (int j = 0; j < d; ++j) {
-    base[j] = static_cast<int64_t>(std::floor(p[j] / cell_extent_[j]));
-  }
+  if (!CellOf(p.data(), base)) return SumBrute(p, exclude);
   uint64_t keys[729];  // 3^6
   const int num_keys = NeighborKeys(base, neighbor_offsets_.data(),
                                     num_neighbor_cells_, d, keys);
@@ -319,23 +329,30 @@ int64_t Kde::GatherTile(const int64_t* base_cell, TileScratch* scratch)
 }
 
 double Kde::SumTile(const double* p, const double* soa, int64_t tile,
-                    const double* exclude) const {
+                    const double* exclude, double sum_cap) const {
   // The arithmetic lives in density/kernel_block.h, the frozen per-pair
   // order every batch path shares (DESIGN.md §9).
   return sum_tile_(kernel_, dim(), p, inv_bandwidths_.data(), soa, tile,
-                   exclude);
+                   exclude, sum_cap);
 }
 
 void Kde::BatchRangeIndexed(const double* rows, const double* selves,
-                            int64_t begin, int64_t end, double* out) const {
+                            int64_t begin, int64_t end, double sum_cap,
+                            double* out) const {
   const int d = dim();
   const int64_t n = end - begin;
   std::vector<int64_t> cells(static_cast<size_t>(n) * d);
+  // A row's cell group, or -1 for a row whose cell cannot be represented:
+  // that row takes the brute-force sum right here, as the scalar path does.
+  std::vector<int64_t> group_of(static_cast<size_t>(n), 0);
   for (int64_t i = 0; i < n; ++i) {
-    const double* p = rows + (begin + i) * d;
-    for (int j = 0; j < d; ++j) {
-      cells[static_cast<size_t>(i) * d + j] =
-          static_cast<int64_t>(std::floor(p[j] / cell_extent_[j]));
+    const int64_t row = begin + i;
+    if (!CellOf(rows + row * d, cells.data() + static_cast<size_t>(i) * d)) {
+      out[row] = norm_factor_ *
+                 SumTile(rows + row * d, centers_soa_.data(), centers_.size(),
+                         selves != nullptr ? selves + row * d : nullptr,
+                         sum_cap);
+      group_of[static_cast<size_t>(i)] = -1;
     }
   }
   // Group the range's points by grid cell so each group pays for its
@@ -353,8 +370,8 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
   std::vector<int64_t> slot_group(static_cast<size_t>(slots), -1);
   std::vector<uint64_t> group_hash;
   std::vector<int64_t> group_point;  // a member point, whose cell is the base
-  std::vector<int64_t> group_of(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
+    if (group_of[i] < 0) continue;
     const int64_t* c = cells.data() + static_cast<size_t>(i) * d;
     const uint64_t h = HashCell(c, d);
     uint64_t s = h & mask;
@@ -376,13 +393,17 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
   }
   const int64_t num_groups = static_cast<int64_t>(group_hash.size());
   std::vector<int64_t> group_begin(static_cast<size_t>(num_groups) + 1, 0);
-  for (int64_t i = 0; i < n; ++i) ++group_begin[group_of[i] + 1];
+  for (int64_t i = 0; i < n; ++i) {
+    if (group_of[i] >= 0) ++group_begin[group_of[i] + 1];
+  }
   for (int64_t g = 0; g < num_groups; ++g) {
     group_begin[g + 1] += group_begin[g];
   }
   std::vector<int64_t> cursor(group_begin.begin(), group_begin.end() - 1);
   std::vector<int64_t> order(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) order[cursor[group_of[i]]++] = i;
+  for (int64_t i = 0; i < n; ++i) {
+    if (group_of[i] >= 0) order[cursor[group_of[i]]++] = i;
+  }
 
   TileScratch scratch;
   for (int64_t g = 0; g < num_groups; ++g) {
@@ -392,39 +413,57 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
       const int64_t i = begin + order[k];
       const double sum =
           SumTile(rows + i * d, scratch.soa.data(), tile,
-                  selves != nullptr ? selves + i * d : nullptr);
+                  selves != nullptr ? selves + i * d : nullptr, sum_cap);
       out[i] = norm_factor_ * sum;
     }
   }
 }
 
 void Kde::BatchRangeBrute(const double* rows, const double* selves,
-                          int64_t begin, int64_t end, double* out) const {
+                          int64_t begin, int64_t end, double sum_cap,
+                          double* out) const {
   const int d = dim();
   const int64_t m = centers_.size();
   for (int64_t i = begin; i < end; ++i) {
     const double* p = rows + i * d;
     const double sum =
         SumTile(p, centers_soa_.data(), m,
-                selves != nullptr ? selves + i * d : nullptr);
+                selves != nullptr ? selves + i * d : nullptr, sum_cap);
     out[i] = norm_factor_ * sum;
   }
 }
 
-Status Kde::EvaluateExcludingSelvesBatch(
-    const double* rows, const double* selves, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
+Status Kde::BatchSharded(const double* rows, const double* selves,
+                         int64_t count, double sum_cap, double* out,
+                         parallel::BatchExecutor* executor) const {
   if (count <= 0) return Status::Ok();
   auto shard = [&](int64_t begin, int64_t end) {
     if (indexed_) {
-      BatchRangeIndexed(rows, selves, begin, end, out);
+      BatchRangeIndexed(rows, selves, begin, end, sum_cap, out);
     } else {
-      BatchRangeBrute(rows, selves, begin, end, out);
+      BatchRangeBrute(rows, selves, begin, end, sum_cap, out);
     }
   };
   if (executor != nullptr) return executor->ParallelFor(count, shard);
   shard(0, count);
   return Status::Ok();
+}
+
+Status Kde::EvaluateExcludingSelvesBatch(
+    const double* rows, const double* selves, int64_t count, double* out,
+    parallel::BatchExecutor* executor) const {
+  return BatchSharded(rows, selves, count,
+                      std::numeric_limits<double>::infinity(), out, executor);
+}
+
+Status Kde::EvaluateExcludingBatchCapped(
+    const double* rows, int64_t count, double cap, double* out,
+    parallel::BatchExecutor* executor) const {
+  // out = norm_factor_ * sum, so a sum above the largest s with
+  // fl(norm_factor_ * s) <= cap gives a density above cap: rounded
+  // multiplication by a positive constant is monotone.
+  return BatchSharded(rows, rows, count,
+                      LargestFactorAtMost(norm_factor_, cap), out, executor);
 }
 
 double Kde::MeanDensityPow(double a, parallel::BatchExecutor* executor)
@@ -481,6 +520,11 @@ Result<Kde> Kde::FromState(State state, bool rebuild_index) {
   }
   if (state.bounds.dim() != dim) {
     return Status::InvalidArgument("bounds dim does not match centers");
+  }
+  for (double c : state.centers.flat()) {
+    if (!std::isfinite(c)) {
+      return Status::InvalidArgument("kernel centers must be finite");
+    }
   }
   Kde kde;
   kde.n_ = state.n;

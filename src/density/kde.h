@@ -108,6 +108,15 @@ class Kde final : public DensityEstimator {
                                       parallel::BatchExecutor* executor =
                                           nullptr) const override;
 
+  // The leave-one-out batch path with a density cap, which becomes a cap
+  // on each row's kernel sum through norm_factor_ (LargestFactorAtMost):
+  // a row whose sum is certain to end above it stops early, and its value
+  // is then some density > cap. Rows at or below the cap get the bits of
+  // EvaluateExcludingBatch.
+  [[nodiscard]] Status EvaluateExcludingBatchCapped(
+      const double* rows, int64_t count, double cap, double* out,
+      parallel::BatchExecutor* executor = nullptr) const override;
+
   // Average of Evaluate(c)^a over the kernel centers. Since the centers are
   // a uniform sample of the data, n * MeanDensityPow(a) is an unbiased
   // estimate of the normalizer k_a = sum_x f(x)^a — the quantity the
@@ -151,6 +160,11 @@ class Kde final : public DensityEstimator {
   void BuildIndex();
   // Column-major copy of the centers for the batch paths (built always).
   void BuildSoA();
+  // Grid cell of the point at `p` into cell[0..dim). False when a
+  // coordinate's cell is NaN or outside (-2^63, 2^63), where the integer
+  // cell and its neighbors cannot be represented; such a point takes the
+  // brute-force sum, which is exact.
+  bool CellOf(const double* p, int64_t* cell) const;
   // Flat-table lookup: [*begin, *end) into cell_centers_ when found.
   bool FindBucket(uint64_t key, int32_t* begin, int32_t* end) const;
   // Gathers the 3^d-neighborhood of `base_cell` into scratch (center
@@ -158,16 +172,25 @@ class Kde final : public DensityEstimator {
   int64_t GatherTile(const int64_t* base_cell, TileScratch* scratch) const;
   // Ordered kernel-product sum of `p` against a SoA tile through the
   // chosen ISA clone; `exclude` is the coordinates of a center to skip
-  // (nullptr = none).
+  // (nullptr = none), and `sum_cap` the kernel block's early-stop cap
+  // (+inf = the full sum).
   double SumTile(const double* p, const double* soa, int64_t tile,
-                 const double* exclude) const;
+                 const double* exclude, double sum_cap) const;
   // `selves` is a parallel row-major array of exclusion points (nullptr =
   // exclude nothing; pass `rows` itself for leave-one-out), indexed like
   // `rows` — point i excludes selves + i*dim.
   void BatchRangeIndexed(const double* rows, const double* selves,
-                         int64_t begin, int64_t end, double* out) const;
+                         int64_t begin, int64_t end, double sum_cap,
+                         double* out) const;
   void BatchRangeBrute(const double* rows, const double* selves,
-                       int64_t begin, int64_t end, double* out) const;
+                       int64_t begin, int64_t end, double sum_cap,
+                       double* out) const;
+  // Both batch entry points: the range functions above, sharded over
+  // `executor` when one is given.
+  [[nodiscard]] Status BatchSharded(const double* rows, const double* selves,
+                                    int64_t count, double sum_cap,
+                                    double* out,
+                                    parallel::BatchExecutor* executor) const;
   // Kernel sum at p via the grid index, skipping centers whose coordinates
   // equal `exclude` (pass a default PointView to skip nothing).
   double SumIndexed(data::PointView p, data::PointView exclude) const;

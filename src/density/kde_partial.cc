@@ -1,5 +1,6 @@
 #include "density/kde_partial.h"
 
+#include <cmath>
 #include <utility>
 
 #include "data/dataset.h"
@@ -146,10 +147,18 @@ Result<PartialKde> Kde::FitPartial(data::DataScan& scan,
     return Status::InvalidArgument("cannot fit a KDE on an empty dataset");
   }
 
+  // A NaN or infinite coordinate anywhere in the data makes its axis's
+  // moments non-finite; no bandwidth can be derived from them.
   std::vector<double> sigma(static_cast<size_t>(dim));
   for (int j = 0; j < dim; ++j) {
-    sigma[static_cast<size_t>(j)] =
-        moments[static_cast<size_t>(j)].sample_stddev();
+    const OnlineMoments& axis = moments[static_cast<size_t>(j)];
+    sigma[static_cast<size_t>(j)] = axis.sample_stddev();
+    if (!std::isfinite(axis.mean()) ||
+        !std::isfinite(sigma[static_cast<size_t>(j)])) {
+      return Status::InvalidArgument(
+          "cannot fit a KDE: the data has a NaN or infinite coordinate, or "
+          "a spread that overflows");
+    }
   }
   Kde::State state;
   state.n = n;

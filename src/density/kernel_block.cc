@@ -17,17 +17,17 @@ double SumKernelProductTileBaseline(KernelType kernel, int dim,
                                     const double* p,
                                     const double* inv_bandwidths,
                                     const double* soa, int64_t tile,
-                                    const double* exclude) {
+                                    const double* exclude, double cap) {
   return SumKernelProductTile(kernel, dim, p, inv_bandwidths, soa, tile,
-                              exclude);
+                              exclude, cap);
 }
 
 #if defined(__x86_64__)
 __attribute__((target("arch=x86-64-v4"))) double SumKernelProductTileV4(
     KernelType kernel, int dim, const double* p, const double* inv_bandwidths,
-    const double* soa, int64_t tile, const double* exclude) {
+    const double* soa, int64_t tile, const double* exclude, double cap) {
   return SumKernelProductTile(kernel, dim, p, inv_bandwidths, soa, tile,
-                              exclude);
+                              exclude, cap);
 }
 #endif
 

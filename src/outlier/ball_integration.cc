@@ -146,14 +146,16 @@ double BallIntegrator::IntegrateExcludingSelf(
 Status BallIntegrator::IntegrateExcludingSelfBatch(
     const density::DensityEstimator& estimator, const double* rows,
     int64_t count, double radius, double* out,
-    parallel::BatchExecutor* executor) const {
+    parallel::BatchExecutor* executor, double score_cap) const {
   DBS_CHECK(radius >= 0);
   if (count <= 0) return Status::Ok();
   if (method_ == BallIntegration::kCenterValue) {
-    DBS_RETURN_IF_ERROR(
-        estimator.EvaluateExcludingBatch(rows, count, out, executor));
-    // Same per-point arithmetic as the scalar call: f * volume.
+    // Same per-point arithmetic as the scalar call: f * volume. Rounded
+    // multiplication by the volume is monotone, so f <= density_cap
+    // exactly when f * volume <= score_cap.
     const double volume = Volume(radius);
+    DBS_RETURN_IF_ERROR(estimator.EvaluateExcludingBatchCapped(
+        rows, count, LargestFactorAtMost(volume, score_cap), out, executor));
     for (int64_t i = 0; i < count; ++i) out[i] *= volume;
     return Status::Ok();
   }

@@ -15,6 +15,7 @@
 #define DBS_OUTLIER_BALL_INTEGRATION_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "data/distance.h"
@@ -48,18 +49,27 @@ class BallIntegrator {
                                 data::PointView p, double radius) const;
 
   // Batch form of IntegrateExcludingSelf over `count` row-major points:
-  // out[i] is bitwise equal to the per-point call. The center-value method
-  // flows through the estimator's batched leave-one-out evaluation (the
-  // detector's hot path); quasi-Monte-Carlo expands every point into its
-  // `num_samples` Halton probes and pushes the whole probe tile — with the
-  // ball centers as the exclusion rows — through the estimator's batched
-  // EvaluateExcludingSelvesBatch (executor-sharded), then reduces each
-  // point's probes in the scalar path's summation order. Fails only with
-  // kUnavailable under executor backpressure.
+  // out[i] is bitwise equal to the per-point call when that score is
+  // <= score_cap, and otherwise some value > score_cap — so a caller that
+  // only compares scores with a threshold passes it here, and one that
+  // hands scores on keeps the default +inf. The center-value method flows
+  // through the estimator's batched leave-one-out evaluation (the
+  // detector's hot path); it turns the score cap into a density cap
+  // through the ball volume (LargestFactorAtMost), so a backend may stop a
+  // row's sum early (DensityEstimator::EvaluateExcludingBatchCapped).
+  // Quasi-Monte-Carlo ignores the cap and computes every score in full:
+  // a score averages many probe densities, none of which decides the row
+  // alone. It expands every point into its `num_samples` Halton probes and
+  // pushes the whole probe tile — with the ball centers as the exclusion
+  // rows — through the estimator's batched EvaluateExcludingSelvesBatch
+  // (executor-sharded), then reduces each point's probes in the scalar
+  // path's summation order. Fails only with kUnavailable under executor
+  // backpressure.
   [[nodiscard]] Status IntegrateExcludingSelfBatch(
       const density::DensityEstimator& estimator, const double* rows,
       int64_t count, double radius, double* out,
-      parallel::BatchExecutor* executor = nullptr) const;
+      parallel::BatchExecutor* executor = nullptr,
+      double score_cap = std::numeric_limits<double>::infinity()) const;
 
   BallIntegration method() const { return method_; }
 

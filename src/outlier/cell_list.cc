@@ -35,22 +35,38 @@ struct Grid {
   std::vector<int64_t> occupied;  // flat ids of non-empty cells, ascending
 };
 
-// Builds the grid, or returns false when the input needs more than
-// internal::kMaxGridCells bins (tiny radius or extreme aspect ratio) and
+// Builds the grid over the points whose coordinates are all finite (the
+// others are nobody's neighbor and stay out of every cell), or returns
+// false when there are none, or when they need more than
+// internal::kMaxGridCells bins (tiny radius or extreme aspect ratio), and
 // the caller should take the kd-tree fallback instead.
 bool BuildGrid(const data::PointSet& points, double radius, Grid* grid) {
   const int64_t n = points.size();
   const int dim = points.dim();
   data::BoundingBox box(dim);
-  for (int64_t i = 0; i < n; ++i) box.Extend(points[i]);
-  if (!internal::MakeGridGeometry(box, radius, &grid->geo)) return false;
+  bool all_finite = true;
+  for (int64_t i = 0; i < n; ++i) {
+    if (data::AllFinite(points[i])) {
+      box.Extend(points[i]);
+    } else {
+      all_finite = false;
+    }
+  }
+  if (box.empty() || !internal::MakeGridGeometry(box, radius, &grid->geo)) {
+    return false;
+  }
   const int64_t total = grid->geo.total_cells;
 
   // Counting sort by flat cell id, stable in ascending point index so tile
-  // scan order — and with it the prune statistics — is deterministic.
+  // scan order — and with it the prune statistics — is deterministic. A
+  // point left out of the grid has cell -1.
   std::vector<int64_t> cell_of(static_cast<size_t>(n));
   grid->start.assign(static_cast<size_t>(total) + 1, 0);
   for (int64_t i = 0; i < n; ++i) {
+    if (!all_finite && !data::AllFinite(points[i])) {
+      cell_of[static_cast<size_t>(i)] = -1;
+      continue;
+    }
     const int64_t flat = internal::FlatCell(grid->geo, points[i].data());
     cell_of[static_cast<size_t>(i)] = flat;
     ++grid->start[static_cast<size_t>(flat) + 1];
@@ -66,6 +82,7 @@ bool BuildGrid(const data::PointSet& points, double radius, Grid* grid) {
   grid->soa.resize(static_cast<size_t>(n) * static_cast<size_t>(dim));
   std::vector<int64_t> cursor(grid->start.begin(), grid->start.end() - 1);
   for (int64_t i = 0; i < n; ++i) {
+    if (cell_of[static_cast<size_t>(i)] < 0) continue;
     const int64_t pos = cursor[static_cast<size_t>(cell_of[static_cast<size_t>(i)])]++;
     grid->point_at_pos[static_cast<size_t>(pos)] = i;
     const data::PointView p = points[i];
@@ -99,7 +116,7 @@ bool CellDiameterWithinRadius(const double* ext, int dim, data::Metric metric,
     }
     case data::Metric::kLinf: {
       double best = 0.0;
-      for (int j = 0; j < dim; ++j) best = std::max(best, ext[j]);
+      for (int j = 0; j < dim; ++j) best = data::LinfMax(best, ext[j]);
       return best <= radius;
     }
   }
@@ -150,7 +167,7 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
           const double* col = soa + static_cast<size_t>(j) * static_cast<size_t>(n) +
                               static_cast<size_t>(t0);
           for (int t = 0; t < blk; ++t) {
-            acc[t] = std::max(acc[t], std::abs(qj - col[t]));
+            acc[t] = data::LinfMax(acc[t], std::abs(qj - col[t]));
           }
         }
         break;
@@ -295,13 +312,20 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
 
 // Fallback counting pass for inputs the grid cannot serve: one kd-tree
 // count per point, with the same early abort and the same disjoint slots.
+// As on the grid, points with a non-finite coordinate stay out of the tree
+// and keep their 0 slot.
 [[nodiscard]] Status CountOnKdTree(const data::PointSet& points,
                                    const DbOutlierParams& params, int64_t p,
                                    parallel::BatchExecutor* executor,
                                    int64_t* neighbor_counts) {
-  data::KdTree tree(&points);
+  std::vector<int64_t> finite;
+  for (int64_t i = 0; i < points.size(); ++i) {
+    if (data::AllFinite(points[i])) finite.push_back(i);
+  }
+  const data::KdTree tree(&points, finite);
   auto count_range = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
+    for (int64_t k = begin; k < end; ++k) {
+      const int64_t i = finite[static_cast<size_t>(k)];
       // Count includes the point itself; abort once p+1 OTHER neighbors
       // are certain (i.e. p+2 counting self).
       const int64_t count = tree.CountWithinRadius(
@@ -309,10 +333,11 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
       neighbor_counts[i] = count - 1;  // exclude self
     }
   };
+  const auto num_finite = static_cast<int64_t>(finite.size());
   if (executor != nullptr) {
-    return executor->ParallelFor(points.size(), count_range);
+    return executor->ParallelFor(num_finite, count_range);
   }
-  count_range(0, points.size());
+  count_range(0, num_finite);
   return Status::Ok();
 }
 
@@ -334,8 +359,9 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
 
   const int64_t n = points.size();
   const int64_t p = params.NeighborBound(n);
-  // Neighbors-excluding-self per point, filled by whichever pass runs.
-  std::vector<int64_t> neighbor_counts(static_cast<size_t>(n));
+  // Neighbors-excluding-self per point, filled by whichever pass runs. A
+  // point with a non-finite coordinate has none and keeps its 0.
+  std::vector<int64_t> neighbor_counts(static_cast<size_t>(n), 0);
 
   // Radii the grid argument does not cover (zero among them), dimensions
   // above kMaxGridDim and boxes needing more than kMaxGridCells bins take

@@ -38,6 +38,10 @@
 // than 2^21 bins — are counted with a kd-tree instead.
 // Both paths fill the same per-point count array and share the report
 // assembly, so the identical-report contract covers the fallback too.
+//
+// A point with a NaN or infinite coordinate is nobody's neighbor and has
+// none (data::AllFinite): both paths leave it out of the grid, its dense
+// rule and the tree, and report it as an outlier with 0 neighbors.
 
 #ifndef DBS_OUTLIER_CELL_LIST_H_
 #define DBS_OUTLIER_CELL_LIST_H_

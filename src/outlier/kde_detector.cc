@@ -1,7 +1,6 @@
 #include "outlier/kde_detector.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -26,9 +25,10 @@ struct CandidateGrid {
   std::vector<uint8_t> in_reach;
 };
 
-// Builds the grid over `candidates`, or returns false when it cannot serve
-// them (radius, dimension, box size or candidate count) and the kd-tree
-// loop counts instead.
+// Builds the grid over the candidates whose coordinates are all finite
+// (the others are nobody's neighbor, data::AllFinite), or returns false
+// when it cannot serve them (radius, dimension, box size, candidate count,
+// or no finite candidate) and the kd-tree loop counts instead.
 bool BuildCandidateGrid(const data::PointSet& candidates, double radius,
                         CandidateGrid* grid) {
   const int64_t n = candidates.size();
@@ -37,9 +37,15 @@ bool BuildCandidateGrid(const data::PointSet& candidates, double radius,
       !internal::GridServes(radius, dim)) {
     return false;
   }
+  std::vector<uint8_t> finite(static_cast<size_t>(n));
   data::BoundingBox box(dim);
-  for (int64_t c = 0; c < n; ++c) box.Extend(candidates[c]);
-  if (!internal::MakeGridGeometry(box, radius, &grid->geo)) return false;
+  for (int64_t c = 0; c < n; ++c) {
+    finite[static_cast<size_t>(c)] = data::AllFinite(candidates[c]) ? 1 : 0;
+    if (finite[static_cast<size_t>(c)] != 0) box.Extend(candidates[c]);
+  }
+  if (box.empty() || !internal::MakeGridGeometry(box, radius, &grid->geo)) {
+    return false;
+  }
   const size_t total = static_cast<size_t>(grid->geo.total_cells);
 
   // Counting sort by flat cell: count into start[f], prefix-sum to each
@@ -48,14 +54,16 @@ bool BuildCandidateGrid(const data::PointSet& candidates, double radius,
   std::vector<uint32_t> cell_of(static_cast<size_t>(n));
   grid->start.assign(total + 1, 0);
   for (int64_t c = 0; c < n; ++c) {
+    if (finite[static_cast<size_t>(c)] == 0) continue;
     const auto flat = static_cast<uint32_t>(
         internal::FlatCell(grid->geo, candidates[c].data()));
     cell_of[static_cast<size_t>(c)] = flat;
     ++grid->start[flat];
   }
   for (size_t f = 1; f <= total; ++f) grid->start[f] += grid->start[f - 1];
-  grid->order.resize(static_cast<size_t>(n));
+  grid->order.resize(grid->start[total]);
   for (int64_t c = n - 1; c >= 0; --c) {
+    if (finite[static_cast<size_t>(c)] == 0) continue;
     grid->order[--grid->start[cell_of[static_cast<size_t>(c)]]] =
         static_cast<int32_t>(c);
   }
@@ -96,8 +104,9 @@ void CountOnCandidateGrid(data::DataScan& scan,
       const data::PointView x = batch.point(i, dim);
       // The row's cell, unclamped. A row more than one cell outside the
       // box on some axis has no candidate in reach, and a row with a NaN
-      // coordinate counts nothing (see CountOnKdTree). A row in the ring
-      // just outside the box has no in_reach byte and always probes.
+      // or infinite coordinate counts nothing (see CountOnKdTree). A row
+      // in the ring just outside the box has no in_reach byte and always
+      // probes.
       bool in_box = true;
       bool out_of_reach = false;
       int64_t flat = 0;
@@ -137,22 +146,24 @@ void CountOnCandidateGrid(data::DataScan& scan,
 }
 
 // The verify loop for inputs the grid cannot serve: one kd-tree radius
-// query per row. A row with a NaN coordinate is skipped, as on the grid:
-// under Linf, data::Distance's std::max drops a NaN axis, and the tree
-// would count whichever candidates its descent happens to reach.
+// query per row. As on the grid, a row or candidate with a non-finite
+// coordinate is nobody's neighbor (data::AllFinite): such rows are
+// skipped, and such candidates stay out of the tree, whose median splits
+// could not order a NaN.
 void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
                    const DbOutlierParams& params, int64_t* counts) {
   const int dim = candidates.dim();
-  data::KdTree tree(&candidates);
+  std::vector<int64_t> finite;
+  for (int64_t c = 0; c < candidates.size(); ++c) {
+    if (data::AllFinite(candidates[c])) finite.push_back(c);
+  }
+  const data::KdTree tree(&candidates, std::move(finite));
   scan.Reset();
   data::ScanBatch batch;
   while (scan.NextBatch(&batch)) {
     for (int64_t i = 0; i < batch.count; ++i) {
       data::PointView x = batch.point(i, dim);
-      if (std::any_of(x.begin(), x.end(),
-                      [](double v) { return std::isnan(v); })) {
-        continue;
-      }
+      if (!data::AllFinite(x)) continue;
       for (int64_t c : tree.WithinRadius(x, params.radius, params.metric)) {
         ++counts[c];
       }
@@ -253,9 +264,11 @@ void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
   int64_t row = range.begin;
   while (scan.NextBatch(&batch)) {
     scores.resize(static_cast<size_t>(batch.count));
+    // Only `expected <= threshold` reads a score, so the threshold caps
+    // each row's sum (BallIntegrator::IntegrateExcludingSelfBatch).
     DBS_RETURN_IF_ERROR(integrator.IntegrateExcludingSelfBatch(
         estimator, batch.rows, batch.count, params.radius, scores.data(),
-        options.executor));
+        options.executor, threshold));
     for (int64_t i = 0; i < batch.count; ++i, ++row) {
       data::PointView x = batch.point(i, dim);
       double expected = scores[static_cast<size_t>(i)];
@@ -409,9 +422,13 @@ void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
       params.NeighborBound(counts.parts.front().total_rows);
   OutlierReport report;
   report.candidates_checked = candidates.points.size();
-  // Each candidate counted itself once (it appears in the scan).
+  // Each candidate counted itself once (it appears in the scan), except one
+  // with a non-finite coordinate, which counted nothing: it has 0
+  // neighbors, as in the exact detectors.
   for (size_t c = 0; c < num_candidates; ++c) {
-    int64_t neighbors = total[c] - 1;
+    const bool counted_self =
+        data::AllFinite(candidates.points[static_cast<int64_t>(c)]);
+    const int64_t neighbors = total[c] - (counted_self ? 1 : 0);
     if (neighbors <= p) {
       report.outlier_indices.push_back(candidates.rows[c]);
       report.neighbor_counts.push_back(neighbors);
@@ -446,7 +463,7 @@ void CountOnKdTree(data::DataScan& scan, const data::PointSet& candidates,
     scores.resize(static_cast<size_t>(batch.count));
     DBS_RETURN_IF_ERROR(integrator.IntegrateExcludingSelfBatch(
         estimator, batch.rows, batch.count, params.radius, scores.data(),
-        options.executor));
+        options.executor, threshold));
     for (int64_t i = 0; i < batch.count; ++i) {
       if (scores[static_cast<size_t>(i)] <= threshold) ++count;
     }

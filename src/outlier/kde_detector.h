@@ -147,8 +147,9 @@ struct PartialNeighborCounts {
 // comparisons; inputs the grid cannot serve — radius 0 or one whose square
 // is not a normal double, dimension above 6, a candidate box needing more
 // than 2^21 cells — take a kd-tree over the candidates. Both paths use
-// KdTree::WithinRadius's comparisons, and a row with a NaN coordinate
-// counts nothing.
+// KdTree::WithinRadius's comparisons, and on both a row or candidate with
+// a NaN or infinite coordinate is nobody's neighbor (data::AllFinite): it
+// counts nothing and is counted by nothing, itself included.
 [[nodiscard]] Result<PartialNeighborCounts> CountCandidateNeighborsPartial(
     data::DataScan& scan, const OutlierCandidates& candidates,
     const DbOutlierParams& params, const ShardInfo& info);
@@ -158,7 +159,9 @@ struct PartialNeighborCounts {
 
 // Assembles the final report from COMPLETE candidate and count states:
 // per-candidate tallies are summed in ascending shard order (integer sums —
-// exact), each candidate's self-count removed, and survivors reported.
+// exact), each candidate's self-count removed (a candidate with a
+// non-finite coordinate has none, and 0 neighbors), and survivors
+// reported.
 // Sets candidates_checked and passes = 2.
 [[nodiscard]] Result<OutlierReport> FinalizeOutlierReport(
     const OutlierCandidates& candidates, const PartialNeighborCounts& counts,

@@ -176,6 +176,8 @@ Result<OutlierScoreBatchResponse> ModelService::OutlierScores(
   // leave-one-out path, quasi-Monte-Carlo through the probe-tile expansion
   // (each point fans out into its qmc_samples probes and the whole tile is
   // evaluated batched — see BallIntegrator::IntegrateExcludingSelfBatch).
+  // The scores go back to the client, so they are computed in full: no
+  // score cap.
   Status run = integrator.IntegrateExcludingSelfBatch(
       estimator, request.points.flat().data(), total, request.radius, scores,
       executor_);

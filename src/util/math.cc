@@ -1,6 +1,8 @@
 #include "util/math.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -52,6 +54,43 @@ uint32_t SmallPrime(int i) {
                                            23, 29, 31, 37, 41, 43, 47, 53};
   DBS_CHECK(i >= 0 && i < 16);
   return kPrimes[i];
+}
+
+namespace {
+
+// Maps the non-NaN doubles onto uint64 in increasing order (-0.0 just
+// below +0.0), so that a binary search over doubles is one over integers.
+uint64_t OrderedBits(double x) {
+  const auto bits = std::bit_cast<uint64_t>(x);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+double FromOrderedBits(uint64_t key) {
+  return std::bit_cast<double>((key >> 63) != 0 ? key & ~(uint64_t{1} << 63)
+                                                : ~key);
+}
+
+}  // namespace
+
+double LargestFactorAtMost(double k, double t) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(k > 0.0 && k < kInf) || !(t < kInf)) return kInf;
+  // fl(x * k) <= t holds at x = -inf and fails at x = +inf, and it is
+  // monotone in x: bisect the ordered bit patterns between the two, which
+  // takes at most 64 products. A search rather than stepping from t / k
+  // keeps the cost bounded when the product is subnormal, where many
+  // doubles x round to the same product.
+  uint64_t lo = OrderedBits(-kInf);  // fl(lo * k) <= t
+  uint64_t hi = OrderedBits(kInf);   // fl(hi * k) > t
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (FromOrderedBits(mid) * k <= t) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return FromOrderedBits(lo);
 }
 
 uint64_t Gcd(uint64_t a, uint64_t b) {

@@ -33,6 +33,14 @@ uint32_t SmallPrime(int i);
 // Greatest common divisor.
 uint64_t Gcd(uint64_t a, uint64_t b);
 
+// The largest double x with fl(x * k) <= t, where fl is the rounded
+// product: x * k <= t holds exactly when x <= LargestFactorAtMost(k, t).
+// Rounded multiplication by a positive k is monotone, which is what makes
+// such an x exist and what lets a cap on a product become a cap on its
+// factor with no tolerance. Returns +inf, meaning "no cap", when k is not
+// positive and finite or when t is +inf or NaN.
+double LargestFactorAtMost(double k, double t);
+
 }  // namespace dbs
 
 #endif  // DBS_UTIL_MATH_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -268,6 +269,33 @@ TEST(ExactHistogramTest, OutOfDomainPointsClampToEdgeCells) {
   // Clamped lookups do not crash and return edge-cell counts.
   EXPECT_EQ(hd->CellCount(PointView(&below, 1)), 0);
   EXPECT_EQ(hd->CellCount(PointView(&above, 1)), 0);
+}
+
+TEST(ExactHistogramTest, NonFiniteAndHugeCoordinatesLandInDefinedCells) {
+  // The clamp runs before the cast to an integer cell, so values past
+  // int64's range reach the edge cell on their side, and NaN cell 0.
+  PointSet ps(2, {0.1, 0.1, 0.9, 0.9, 0.9, 0.1});
+  GridDensityOptions opts;
+  opts.cells_per_dim = 4;
+  opts.bounds = data::BoundingBox({0.0, 0.0}, {1.0, 1.0});
+  auto hd = GridDensity::Fit(ps, opts);
+  ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  const double cases[][2][2] = {
+      // {probe, a point in the cell it must land in}
+      {{1e300, 0.1}, {0.9, 0.1}},  {{inf, 0.1}, {0.9, 0.1}},
+      {{-1e300, 0.9}, {0.1, 0.9}}, {{-inf, 0.9}, {0.1, 0.9}},
+      {{nan, 0.1}, {0.1, 0.1}},    {{0.9, nan}, {0.9, 0.1}},
+  };
+  for (const auto& c : cases) {
+    const PointView probe(c[0], 2);
+    const PointView same_cell(c[1], 2);
+    EXPECT_EQ(hd->BucketOf(probe), hd->BucketOf(same_cell))
+        << c[0][0] << ", " << c[0][1];
+    EXPECT_EQ(hd->Evaluate(probe), hd->Evaluate(same_cell));
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include "density/kde.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
+#include "parallel/batch_executor.h"
 #include "util/rng.h"
 
 namespace dbs::density {
@@ -246,6 +248,114 @@ TEST(KdeTest, BandwidthsReflectAnisotropy) {
   auto kde = Kde::Fit(ps, KdeOptions{});
   ASSERT_TRUE(kde.ok());
   EXPECT_NEAR(kde->bandwidths()[1] / kde->bandwidths()[0], 10.0, 1.0);
+}
+
+TEST(KdeTest, FitRejectsNonFiniteCoordinates) {
+  // A NaN or infinite coordinate makes its axis's moments non-finite; the
+  // fit must say so instead of deriving a NaN bandwidth.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    PointSet ps = UniformCube(500, 2, 21);
+    ps.Append(std::vector<double>{bad, 0.3});
+    auto kde = Kde::Fit(ps, KdeOptions{});
+    ASSERT_FALSE(kde.ok()) << bad;
+    EXPECT_EQ(kde.status().code(), StatusCode::kInvalidArgument) << bad;
+    KdeOptions fixed;
+    fixed.bandwidth_rule = BandwidthRule::kFixed;
+    fixed.fixed_bandwidth = 0.1;
+    EXPECT_EQ(Kde::Fit(ps, fixed).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(KdeTest, FromStateRejectsNonFiniteCenters) {
+  auto kde = Kde::Fit(UniformCube(200, 2, 22), KdeOptions{});
+  ASSERT_TRUE(kde.ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Kde::State state = kde->ExportState();
+    state.centers.MutableRow(3)[1] = bad;
+    auto loaded = Kde::FromState(std::move(state));
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// Rows whose grid cell cannot be represented as an integer (NaN, infinite,
+// or beyond 2^63 cells) take the exact brute-force sum on every path. With
+// the Epanechnikov kernel no center is in reach of them, so each density
+// is exactly 0; the rows around them keep their bits. UBSan checks that
+// no path casts such a cell.
+TEST(KdeTest, RowsWithUnrepresentableCellsEvaluateExactly) {
+  auto kde = Kde::Fit(UniformCube(2000, 2, 23), KdeOptions{});
+  ASSERT_TRUE(kde.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  PointSet rows(2, {0.5,  0.5, std::nan(""), 0.5, 0.25, 0.75, 1e300, 0.5,
+                    -inf, 0.2, 0.5,          -1e19, 0.4, 0.6});
+  const int64_t n = rows.size();
+  std::vector<double> batch(static_cast<size_t>(n));
+  std::vector<double> loo(static_cast<size_t>(n));
+  std::vector<double> capped(static_cast<size_t>(n));
+  parallel::BatchExecutorOptions pool_options;
+  pool_options.num_workers = 2;
+  parallel::BatchExecutor pool(pool_options);
+  parallel::BatchExecutor* const executors[] = {nullptr, &pool};
+  for (parallel::BatchExecutor* executor : executors) {
+    ASSERT_TRUE(
+        kde->EvaluateBatch(rows.flat().data(), n, batch.data(), executor)
+            .ok());
+    ASSERT_TRUE(kde->EvaluateExcludingBatch(rows.flat().data(), n,
+                                            loo.data(), executor)
+                    .ok());
+    ASSERT_TRUE(kde->EvaluateExcludingBatchCapped(rows.flat().data(), n, 1.0,
+                                                  capped.data(), executor)
+                    .ok());
+    for (int64_t i = 0; i < n; ++i) {
+      const PointView p = rows[i];
+      const bool representable =
+          std::isfinite(p[0]) && std::abs(p[0]) < 1e10 &&
+          std::isfinite(p[1]) && std::abs(p[1]) < 1e10;
+      const double scalar = kde->Evaluate(p);
+      const double scalar_loo = kde->EvaluateExcluding(p, p);
+      if (!representable) {
+        EXPECT_EQ(scalar, 0.0) << i;
+        EXPECT_EQ(scalar_loo, 0.0) << i;
+        EXPECT_EQ(scalar, kde->EvaluateBrute(p)) << i;
+      }
+      EXPECT_EQ(batch[static_cast<size_t>(i)], scalar) << i;
+      EXPECT_EQ(loo[static_cast<size_t>(i)], scalar_loo) << i;
+      if (scalar_loo <= 1.0) {
+        EXPECT_EQ(capped[static_cast<size_t>(i)], scalar_loo) << i;
+      } else {
+        EXPECT_GT(capped[static_cast<size_t>(i)], 1.0) << i;
+      }
+    }
+  }
+  pool.Shutdown();
+}
+
+// A model whose center cells cannot be represented is not indexed: every
+// evaluation takes the brute-force sum, and the batch paths agree with it.
+TEST(KdeTest, ModelWithUnrepresentableCenterCellsEvaluatesBruteForce) {
+  Kde::State state;
+  state.n = 3;
+  state.kernel = KernelType::kEpanechnikov;
+  state.centers = PointSet(2, {0.0, 0.0, 0.05, 0.0, 1e300, 0.0});
+  state.bandwidths = {0.1, 0.1};
+  state.bounds = data::BoundingBox({0.0, 0.0}, {1e300, 0.0});
+  auto kde = Kde::FromState(std::move(state));
+  ASSERT_TRUE(kde.ok());
+  PointSet rows(2, {0.0, 0.0, 0.03, 0.01, 1e300, 0.0, 0.5, 0.5});
+  std::vector<double> batch(static_cast<size_t>(rows.size()));
+  ASSERT_TRUE(
+      kde->EvaluateBatch(rows.flat().data(), rows.size(), batch.data()).ok());
+  for (int64_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(kde->Evaluate(rows[i]), kde->EvaluateBrute(rows[i])) << i;
+    EXPECT_EQ(batch[static_cast<size_t>(i)], kde->EvaluateBrute(rows[i]))
+        << i;
+  }
+  EXPECT_GT(kde->Evaluate(rows[0]), 0.0);
+  EXPECT_GT(kde->Evaluate(rows[2]), 0.0);
 }
 
 TEST(KdeTest, WorksOnFileScan) {

@@ -4,12 +4,18 @@
 // that changes values (FMA contraction, a reassociated accumulator) reached
 // one copy of the arithmetic. Checked with memcmp over all five kernels,
 // dims 1-6, no exclusion / an exclusion that misses / one that matches
-// centers, and tile lengths on every edge of the 256-wide block. A clone
+// centers, tile lengths on every edge of the 256-wide block and of the
+// 16-wide capped block, and caps at 0, around the exact sum and at +inf.
+// The same sweep checks the cap's contract on the baseline: the exact sum's
+// bits when that sum is <= cap, a value above the cap otherwise. A clone
 // this CPU cannot run is skipped, and the skip names it.
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,19 +100,24 @@ Case MakeCase(int dim, int64_t tile, uint64_t seed) {
 
 class KernelCloneTest : public ::testing::TestWithParam<NamedClone> {};
 
-TEST_P(KernelCloneTest, MatchesBaselineBitwise) {
-  const NamedClone clone = GetParam();
-  if (!HostRuns(clone.isa)) {
-    GTEST_SKIP() << "this CPU cannot run clone " << clone.isa;
-  }
-  const KernelType kKernels[] = {KernelType::kEpanechnikov,
-                                 KernelType::kQuartic,
-                                 KernelType::kTriangular,
-                                 KernelType::kUniform,
-                                 KernelType::kGaussian};
-  const int64_t kTiles[] = {0, 1, 255, 256, 257, 1000};
-  int64_t compared = 0;
-  int64_t nonzero = 0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+const KernelType kKernels[] = {KernelType::kEpanechnikov,
+                               KernelType::kQuartic,
+                               KernelType::kTriangular,
+                               KernelType::kUniform,
+                               KernelType::kGaussian};
+const int64_t kTiles[] = {0, 1, 15, 16, 17, 255, 256, 257, 1000};
+constexpr int kNumCaps = 5;
+
+// Calls check(kernel, case, exclude, exclude_name, cap, exact) over
+// kernels x dims 1-6 x tiles x exclusions x caps, where `exact` is the
+// baseline's uncapped sum and the caps are 0, the double just below it,
+// `exact` itself, the double just above it, and +inf. Returns the number
+// of cases.
+template <typename Check>
+int64_t ForEachCappedCase(Check&& check) {
+  int64_t cases = 0;
   for (int dim = 1; dim <= 6; ++dim) {
     for (int64_t tile : kTiles) {
       const Case c = MakeCase(
@@ -114,32 +125,119 @@ TEST_P(KernelCloneTest, MatchesBaselineBitwise) {
                          static_cast<uint64_t>(tile));
       std::vector<double> miss = c.near_center;
       miss[0] += 1e-9;
-      const double* excludes[] = {nullptr, miss.data(), c.near_center.data()};
+      const std::pair<const double*, const char*> excludes[] = {
+          {nullptr, "none"}, {miss.data(), "miss"},
+          {c.near_center.data(), "match"}};
       for (KernelType kernel : kKernels) {
-        for (const double* exclude : excludes) {
-          const double want = SumKernelProductTileBaseline(
+        for (const auto& [exclude, exclude_name] : excludes) {
+          const double exact = SumKernelProductTileBaseline(
               kernel, dim, c.p.data(), c.inv_bandwidths.data(), c.soa.data(),
-              tile, exclude);
-          const double got =
-              clone.sum(kernel, dim, c.p.data(), c.inv_bandwidths.data(),
-                        c.soa.data(), tile, exclude);
-          ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-              << clone.isa << " vs baseline, kernel "
-              << KernelTypeName(kernel) << ", dim " << dim << ", tile "
-              << tile << ", exclude "
-              << (exclude == nullptr             ? "none"
-                  : exclude == miss.data()       ? "miss"
-                                                 : "match")
-              << ": " << got << " vs " << want;
-          ++compared;
-          if (want != 0.0) ++nonzero;
+              tile, exclude, kInf);
+          const double caps[kNumCaps] = {0.0, std::nextafter(exact, -kInf),
+                                         exact, std::nextafter(exact, kInf),
+                                         kInf};
+          for (double cap : caps) {
+            check(kernel, c, exclude, exclude_name, cap, exact);
+            ++cases;
+          }
         }
       }
     }
   }
-  EXPECT_EQ(compared, 6 * 6 * 5 * 3);
+  return cases;
+}
+
+TEST_P(KernelCloneTest, MatchesBaselineBitwise) {
+  const NamedClone clone = GetParam();
+  if (!HostRuns(clone.isa)) {
+    GTEST_SKIP() << "this CPU cannot run clone " << clone.isa;
+  }
+  int64_t nonzero = 0;
+  const int64_t compared = ForEachCappedCase(
+      [&](KernelType kernel, const Case& c, const double* exclude,
+          const char* exclude_name, double cap, double exact) {
+        const double want = SumKernelProductTileBaseline(
+            kernel, c.dim, c.p.data(), c.inv_bandwidths.data(), c.soa.data(),
+            c.tile, exclude, cap);
+        const double got =
+            clone.sum(kernel, c.dim, c.p.data(), c.inv_bandwidths.data(),
+                      c.soa.data(), c.tile, exclude, cap);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << clone.isa << " vs baseline, kernel " << KernelTypeName(kernel)
+            << ", dim " << c.dim << ", tile " << c.tile << ", exclude "
+            << exclude_name << ", cap " << cap << " (exact " << exact
+            << "): " << got << " vs " << want;
+        if (want != 0.0) ++nonzero;
+      });
+  EXPECT_EQ(compared, 6 * 9 * 5 * 3 * kNumCaps);
   // Most sums must be nonzero, or the comparison proves little.
   EXPECT_GT(nonzero, compared / 2);
+}
+
+TEST(KernelCapTest, ExactAtOrBelowTheCapAndAboveItOtherwise) {
+  int64_t stopped_early = 0;
+  const int64_t cases = ForEachCappedCase(
+      [&](KernelType kernel, const Case& c, const double* exclude,
+          const char* exclude_name, double cap, double exact) {
+        const double got = SumKernelProductTileBaseline(
+            kernel, c.dim, c.p.data(), c.inv_bandwidths.data(), c.soa.data(),
+            c.tile, exclude, cap);
+        if (exact <= cap) {
+          ASSERT_EQ(std::memcmp(&got, &exact, sizeof(double)), 0)
+              << "kernel " << KernelTypeName(kernel) << ", dim " << c.dim
+              << ", tile " << c.tile << ", exclude " << exclude_name
+              << ", cap " << cap << ": " << got << " vs exact " << exact;
+        } else {
+          ASSERT_GT(got, cap)
+              << "kernel " << KernelTypeName(kernel) << ", dim " << c.dim
+              << ", tile " << c.tile << ", exclude " << exclude_name
+              << ", exact " << exact;
+          if (got != exact) ++stopped_early;
+        }
+      });
+  EXPECT_EQ(cases, 6 * 9 * 5 * 3 * kNumCaps);
+  // The cases must include rows that really stop before the end.
+  EXPECT_GT(stopped_early, 0);
+}
+
+// The compacted exclusion adds the remaining terms in tile order: dropping
+// the matching centers from the tile and summing the rest with no
+// exclusion gives the same bits.
+TEST(KernelCapTest, ExclusionEqualsSummingTheTileWithoutTheMatches) {
+  for (int dim = 1; dim <= 6; ++dim) {
+    for (int64_t tile : kTiles) {
+      const Case c = MakeCase(dim, tile, 31 * static_cast<uint64_t>(dim) +
+                                             static_cast<uint64_t>(tile));
+      std::vector<int64_t> kept_at;
+      for (int64_t t = 0; t < tile; ++t) {
+        bool matches = true;
+        for (int j = 0; j < dim; ++j) {
+          matches = matches && c.soa[static_cast<size_t>(j) * tile + t] ==
+                                   c.near_center[j];
+        }
+        if (!matches) kept_at.push_back(t);
+      }
+      const auto kept = static_cast<int64_t>(kept_at.size());
+      std::vector<double> rest(static_cast<size_t>(dim) * kept);
+      for (int j = 0; j < dim; ++j) {
+        for (int64_t k = 0; k < kept; ++k) {
+          rest[static_cast<size_t>(j) * kept + k] =
+              c.soa[static_cast<size_t>(j) * tile + kept_at[k]];
+        }
+      }
+      for (KernelType kernel : kKernels) {
+        const double excluded = SumKernelProductTileBaseline(
+            kernel, dim, c.p.data(), c.inv_bandwidths.data(), c.soa.data(),
+            tile, c.near_center.data(), kInf);
+        const double summed = SumKernelProductTileBaseline(
+            kernel, dim, c.p.data(), c.inv_bandwidths.data(), rest.data(),
+            kept, nullptr, kInf);
+        ASSERT_EQ(std::memcmp(&excluded, &summed, sizeof(double)), 0)
+            << "kernel " << KernelTypeName(kernel) << ", dim " << dim
+            << ", tile " << tile;
+      }
+    }
+  }
 }
 
 std::string CloneName(const ::testing::TestParamInfo<NamedClone>& param) {
@@ -161,10 +259,10 @@ TEST(KernelCloneCaseTest, ExcludingAMatchingCenterDropsItsTerms) {
   const Case c = MakeCase(3, 257, 77);
   const double all = SumKernelProductTileBaseline(
       KernelType::kEpanechnikov, 3, c.p.data(), c.inv_bandwidths.data(),
-      c.soa.data(), c.tile, nullptr);
+      c.soa.data(), c.tile, nullptr, kInf);
   const double excluded = SumKernelProductTileBaseline(
       KernelType::kEpanechnikov, 3, c.p.data(), c.inv_bandwidths.data(),
-      c.soa.data(), c.tile, c.near_center.data());
+      c.soa.data(), c.tile, c.near_center.data(), kInf);
   EXPECT_LT(excluded, all);
 }
 

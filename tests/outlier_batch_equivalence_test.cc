@@ -7,8 +7,11 @@
 // vector pins the arithmetic itself, so a regression that moves the scalar
 // and batch paths TOGETHER is still caught.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -140,6 +143,68 @@ TEST_P(OutlierBatchTest, GridDensityQmcMatchesScalarBitwise) {
                     0.1);
   }
   CheckIntegrator(*hist, scored, BallIntegration::kCenterValue, 1, 0.1);
+}
+
+// The center-value batch under a score cap: a row whose full score is at
+// or below the cap keeps the per-point call's bits, and any other row
+// scores above the cap. Caps sit on rows' exact scores and one ulp to
+// either side of them, so both conversions (score to density cap through
+// the ball volume, density to kernel-sum cap through Kde's norm factor)
+// are tested where an off-by-one-ulp cap would show.
+TEST_P(OutlierBatchTest, KdeCenterValueUnderScoreCap) {
+  const int dim = GetParam();
+  data::PointSet data = MakeData(dim, 1500, 43);
+  density::KdeOptions opts;
+  opts.num_kernels = 300;
+  opts.seed = 9;
+  auto kde = density::Kde::Fit(data, opts);
+  ASSERT_TRUE(kde.ok());
+  const double radius = 0.1;
+  BallIntegrator integrator(BallIntegration::kCenterValue, dim);
+  const int64_t n = data.size();
+  const double* rows = data.flat().data();
+  std::vector<double> scalar(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    scalar[static_cast<size_t>(i)] =
+        integrator.IntegrateExcludingSelf(*kde, data[i], radius);
+  }
+  std::vector<double> sorted = scalar;
+  std::sort(sorted.begin(), sorted.end());
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> caps = {0.0, inf};
+  for (size_t q : {sorted.size() / 10, sorted.size() / 2}) {
+    caps.push_back(std::nextafter(sorted[q], -inf));
+    caps.push_back(sorted[q]);
+    caps.push_back(std::nextafter(sorted[q], inf));
+  }
+  parallel::BatchExecutorOptions pool_options;
+  pool_options.num_workers = 4;
+  parallel::BatchExecutor pool(pool_options);
+  int64_t stopped = 0;
+  parallel::BatchExecutor* const executors[] = {&pool, nullptr};
+  for (parallel::BatchExecutor* executor : executors) {
+    for (double cap : caps) {
+      SCOPED_TRACE(::testing::Message() << "cap " << cap << " executor "
+                                        << (executor != nullptr));
+      std::vector<double> got(static_cast<size_t>(n));
+      ASSERT_TRUE(integrator
+                      .IntegrateExcludingSelfBatch(*kde, rows, n, radius,
+                                                   got.data(), executor, cap)
+                      .ok());
+      for (size_t i = 0; i < got.size(); ++i) {
+        if (scalar[i] <= cap) {
+          ASSERT_EQ(std::memcmp(&got[i], &scalar[i], sizeof(double)), 0)
+              << "row " << i << ": " << got[i] << " vs " << scalar[i];
+        } else {
+          ASSERT_GT(got[i], cap) << "row " << i;
+          if (got[i] != scalar[i]) ++stopped;
+        }
+      }
+    }
+  }
+  pool.Shutdown();
+  // Some rows really stopped early, or the caps tested nothing.
+  EXPECT_GT(stopped, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, OutlierBatchTest, ::testing::Values(1, 2, 5));

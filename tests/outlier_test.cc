@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -439,6 +440,304 @@ TEST(EstimateOutlierCountTest, GrowsAsRadiusShrinks) {
   ASSERT_TRUE(many.ok());
   ASSERT_TRUE(few.ok());
   EXPECT_GE(*many, *few);
+}
+
+// ---------------------------------------------------------------------------
+// A point with a non-finite coordinate is nobody's neighbor, in every
+// DB(p,k) path. Three points well within radius 0.1 of each other, a row
+// of NaNs and two isolated points: with p = 1 the three have two neighbors
+// each, and the other three rows are outliers with 0 neighbors each — the
+// NaN row's every distance is NaN, under Linf too. Padding the rows with
+// zero axes to 7-D moves every grid pass onto its kd-tree fallback.
+
+constexpr data::Metric kAllMetrics[] = {data::Metric::kL2, data::Metric::kL1,
+                                        data::Metric::kLinf};
+
+PointSet NanRowCase(int dim, double x3, double y3) {
+  const double rows[6][2] = {{0.001, 0.001}, {0.002, 0.001}, {0.001, 0.002},
+                             {x3, y3},       {0.5, 0.5},     {0.9, 0.9}};
+  PointSet ps(dim);
+  std::vector<double> x(static_cast<size_t>(dim), 0.0);
+  for (const auto& row : rows) {
+    x[0] = row[0];
+    x[1] = row[1];
+    ps.Append(x);
+  }
+  return ps;
+}
+
+DbOutlierParams NanRowParams(data::Metric metric) {
+  DbOutlierParams params;
+  params.radius = 0.1;
+  params.max_neighbors = 1;
+  params.metric = metric;
+  return params;
+}
+
+TEST(NonFiniteRowTest, ExactDetectorMatchesOracleOnGridAndKdTree) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  // The row of NaNs the definition asks about, plus a NaN on one axis and
+  // infinite coordinates, whose distances are NaN or +inf just the same.
+  const double odd_rows[][2] = {{nan, nan}, {nan, 0.001}, {inf, 0.001},
+                                {-inf, inf}};
+  for (int dim : {2, 7}) {
+    for (const auto& odd : odd_rows) {
+      const PointSet ps = NanRowCase(dim, odd[0], odd[1]);
+      for (data::Metric metric : kAllMetrics) {
+        SCOPED_TRACE(::testing::Message()
+                     << "dim " << dim << ", row 3 {" << odd[0] << ", "
+                     << odd[1] << "}, metric " << static_cast<int>(metric));
+        const DbOutlierParams params = NanRowParams(metric);
+        CellListStats stats;
+        CellListDetectorOptions options;
+        options.stats = &stats;
+        auto cell = DetectOutliersCellList(ps, params, options);
+        auto oracle = DetectOutliersNestedLoop(ps, params);
+        ASSERT_TRUE(cell.ok());
+        ASSERT_TRUE(oracle.ok());
+        EXPECT_EQ(oracle->outlier_indices, (std::vector<int64_t>{3, 4, 5}));
+        EXPECT_EQ(oracle->neighbor_counts, (std::vector<int64_t>{0, 0, 0}));
+        EXPECT_EQ(cell->outlier_indices, oracle->outlier_indices);
+        EXPECT_EQ(cell->neighbor_counts, oracle->neighbor_counts);
+        EXPECT_EQ(cell->candidates_checked, oracle->candidates_checked);
+        EXPECT_EQ(stats.used_fallback, dim > 6);
+      }
+    }
+  }
+}
+
+// Rows [begin, end) of shard `shard` of `num_shards` over `ps`.
+PointSet ShardSlice(const PointSet& ps, int64_t num_shards, int64_t shard) {
+  const RowRange range = ShardRowRange(ps.size(), num_shards, shard);
+  std::vector<int64_t> idx;
+  for (int64_t i = range.begin; i < range.end; ++i) idx.push_back(i);
+  return ps.Gather(idx);
+}
+
+ShardInfo ShardOf(const PointSet& ps, int64_t num_shards, int64_t shard) {
+  ShardInfo info;
+  info.shard = shard;
+  info.num_shards = num_shards;
+  info.total_rows = ps.size();
+  return info;
+}
+
+// The scoring round of the partial pipeline over `num_shards` slices.
+[[nodiscard]] Result<OutlierCandidates> ShardedCandidates(
+    const PointSet& ps, const density::DensityEstimator& estimator,
+    const DbOutlierParams& params, const KdeDetectorOptions& options,
+    int64_t num_shards) {
+  PartialOutlierCandidates all;
+  for (int64_t shard = 0; shard < num_shards; ++shard) {
+    const PointSet slice = ShardSlice(ps, num_shards, shard);
+    data::InMemoryScan scan(&slice);
+    DBS_ASSIGN_OR_RETURN(
+        PartialOutlierCandidates part,
+        ScoreOutlierCandidatesPartial(scan, estimator, params, options,
+                                      ShardOf(ps, num_shards, shard)));
+    DBS_ASSIGN_OR_RETURN(all, MergeOutlierCandidates(std::move(all),
+                                                     std::move(part),
+                                                     options.max_candidates));
+  }
+  return FinalizeOutlierCandidates(std::move(all));
+}
+
+// Both rounds of the partial pipeline over `num_shards` slices.
+[[nodiscard]] Result<OutlierReport> ShardedReport(
+    const PointSet& ps, const density::DensityEstimator& estimator,
+    const DbOutlierParams& params, const KdeDetectorOptions& options,
+    int64_t num_shards) {
+  DBS_ASSIGN_OR_RETURN(
+      OutlierCandidates candidates,
+      ShardedCandidates(ps, estimator, params, options, num_shards));
+  PartialNeighborCounts counts;
+  for (int64_t shard = 0; shard < num_shards; ++shard) {
+    const PointSet slice = ShardSlice(ps, num_shards, shard);
+    data::InMemoryScan scan(&slice);
+    DBS_ASSIGN_OR_RETURN(
+        PartialNeighborCounts part,
+        CountCandidateNeighborsPartial(scan, candidates, params,
+                                       ShardOf(ps, num_shards, shard)));
+    DBS_ASSIGN_OR_RETURN(counts,
+                         MergeNeighborCounts(std::move(counts),
+                                             std::move(part)));
+  }
+  return FinalizeOutlierReport(candidates, counts, params);
+}
+
+TEST(NonFiniteRowTest, ApproximateReportMatchesOracle) {
+  // The model is fitted on the finite rows (a fit rejects non-finite
+  // data); the slack makes every row a candidate, so the report is the
+  // verify pass's counts: on the candidate grid in 2-D, on the kd-tree in
+  // 7-D, on one shard and on three.
+  for (int dim : {2, 7}) {
+    const PointSet ps = NanRowCase(dim, std::nan(""), 0.3);
+    density::KdeOptions kde_options;
+    kde_options.num_kernels = 5;
+    auto kde = density::Kde::Fit(ps.Gather({0, 1, 2, 4, 5}), kde_options);
+    ASSERT_TRUE(kde.ok());
+    for (data::Metric metric : kAllMetrics) {
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << ", metric "
+                                        << static_cast<int>(metric));
+      const DbOutlierParams params = NanRowParams(metric);
+      KdeDetectorOptions options;
+      options.candidate_slack = 1e300;
+      auto oracle = DetectOutliersNestedLoop(ps, params);
+      ASSERT_TRUE(oracle.ok());
+      auto approx = DetectOutliersApproximate(ps, *kde, params, options);
+      auto sharded = ShardedReport(ps, *kde, params, options, 3);
+      for (const Result<OutlierReport>* report : {&approx, &sharded}) {
+        ASSERT_TRUE(report->ok());
+        EXPECT_EQ((*report)->candidates_checked, ps.size());
+        EXPECT_EQ((*report)->outlier_indices, oracle->outlier_indices);
+        EXPECT_EQ((*report)->neighbor_counts, oracle->neighbor_counts);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The capped score pass. The detector and the estimate pass their
+// thresholds down as score caps, and Kde stops a row's kernel sum once the
+// row is certain to score above its cap. That may not move one decision:
+// every candidate set, report and estimate must equal the one computed from
+// full sums. FullSums hides Kde's capped entry point, so the detector gets
+// the base class's default, which computes every value in full.
+
+class FullSums final : public density::DensityEstimator {
+ public:
+  explicit FullSums(const density::DensityEstimator* base) : base_(base) {}
+  int dim() const override { return base_->dim(); }
+  double Evaluate(PointView p) const override { return base_->Evaluate(p); }
+  double EvaluateExcluding(PointView x, PointView self) const override {
+    return base_->EvaluateExcluding(x, self);
+  }
+  int64_t total_mass() const override { return base_->total_mass(); }
+  double AverageDensity() const override { return base_->AverageDensity(); }
+  [[nodiscard]] Status EvaluateExcludingSelvesBatch(
+      const double* rows, const double* selves, int64_t count, double* out,
+      parallel::BatchExecutor* executor) const override {
+    return base_->EvaluateExcludingSelvesBatch(rows, selves, count, out,
+                                               executor);
+  }
+
+ private:
+  const density::DensityEstimator* base_;
+};
+
+void ExpectSameReport(const OutlierReport& got, const OutlierReport& want) {
+  EXPECT_EQ(got.outlier_indices, want.outlier_indices);
+  EXPECT_EQ(got.neighbor_counts, want.neighbor_counts);
+  EXPECT_EQ(got.candidates_checked, want.candidates_checked);
+  EXPECT_EQ(got.passes, want.passes);
+}
+
+void ExpectSameCandidates(const OutlierCandidates& got,
+                          const OutlierCandidates& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.points.flat(), want.points.flat());
+}
+
+// A dense cloud in [0.4, 0.6]^dim and a sparse background in [-1, 2]^dim,
+// whose rows score on both sides of the candidate threshold.
+PointSet CloudAndBackground(int dim, uint64_t seed) {
+  dbs::Rng rng(seed);
+  PointSet ps(dim);
+  std::vector<double> x(static_cast<size_t>(dim));
+  for (int64_t i = 0; i < 3000; ++i) {
+    const bool background = i % 10 == 0;
+    for (double& v : x) {
+      v = background ? rng.NextDouble(-1.0, 2.0) : rng.NextDouble(0.4, 0.6);
+    }
+    ps.Append(x);
+  }
+  return ps;
+}
+
+TEST(CappedScorePassTest, DecisionsEqualFullSums) {
+  for (int dim : {1, 2, 5}) {
+    const PointSet points = CloudAndBackground(dim, 91 + dim);
+    density::Kde kde = FitKde(points);
+    const FullSums full(&kde);
+    DbOutlierParams params;
+    // Wide enough in 5-D that the cloud's rows clear the threshold.
+    params.radius = dim < 5 ? 0.1 : 0.5;
+    params.max_neighbors = 5;
+    for (int workers : {0, 1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dim " << dim << ", workers " << workers);
+      std::unique_ptr<parallel::BatchExecutor> pool;
+      if (workers > 0) {
+        parallel::BatchExecutorOptions pool_options;
+        pool_options.num_workers = workers;
+        pool = std::make_unique<parallel::BatchExecutor>(pool_options);
+      }
+      KdeDetectorOptions options;
+      options.executor = pool.get();
+      auto capped = DetectOutliersApproximate(points, kde, params, options);
+      auto uncapped =
+          DetectOutliersApproximate(points, full, params, options);
+      ASSERT_TRUE(capped.ok());
+      ASSERT_TRUE(uncapped.ok());
+      ExpectSameReport(*capped, *uncapped);
+      // Candidates, but far fewer than rows: both sides of the cap occur.
+      EXPECT_GT(capped->candidates_checked, 0);
+      EXPECT_LT(capped->candidates_checked, points.size() / 2);
+
+      auto estimate = EstimateOutlierCount(points, kde, params, options);
+      auto full_estimate =
+          EstimateOutlierCount(points, full, params, options);
+      ASSERT_TRUE(estimate.ok());
+      ASSERT_TRUE(full_estimate.ok());
+      EXPECT_EQ(*estimate, *full_estimate);
+      if (pool != nullptr) pool->Shutdown();
+    }
+    for (int64_t shards : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dim " << dim << ", shards " << shards);
+      const KdeDetectorOptions options;
+      auto capped = ShardedCandidates(points, kde, params, options, shards);
+      auto uncapped =
+          ShardedCandidates(points, full, params, options, shards);
+      ASSERT_TRUE(capped.ok());
+      ASSERT_TRUE(uncapped.ok());
+      ExpectSameCandidates(*capped, *uncapped);
+    }
+  }
+}
+
+TEST(CappedScorePassTest, RowScoringExactlyTheThresholdStaysACandidate) {
+  // With p = 0 the threshold is candidate_slack itself, so setting the
+  // slack to a row's exact score puts the row exactly on the boundary: the
+  // score caps convert to a kernel-sum cap that its full sum does not
+  // exceed, so the row keeps its exact score and stays a candidate.
+  PlantedWorkload w = MakePlanted(2000, 8, 97, 2);
+  density::Kde kde = FitKde(w.points);
+  const FullSums full(&kde);
+  DbOutlierParams params;
+  params.radius = 0.05;
+  params.max_neighbors = 0;
+  const BallIntegrator integrator(BallIntegration::kCenterValue, 2);
+  int checked = 0;
+  for (int64_t row = 0; row < w.points.size(); row += 97) {
+    const double score =
+        integrator.IntegrateExcludingSelf(kde, w.points[row], params.radius);
+    if (!(score > 0)) continue;
+    SCOPED_TRACE(::testing::Message() << "row " << row << ", score "
+                                      << score);
+    KdeDetectorOptions options;
+    options.candidate_slack = score;
+    auto capped = ShardedCandidates(w.points, kde, params, options, 1);
+    auto uncapped = ShardedCandidates(w.points, full, params, options, 1);
+    ASSERT_TRUE(capped.ok());
+    ASSERT_TRUE(uncapped.ok());
+    EXPECT_TRUE(std::binary_search(capped->rows.begin(), capped->rows.end(),
+                                   row));
+    ExpectSameCandidates(*capped, *uncapped);
+    ++checked;
+  }
+  EXPECT_GT(checked, 10);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -439,6 +440,35 @@ TEST_F(ServeE2eTest, NanRadiusOutlierFrameIsAnErrorNotAnAbort) {
   result = serve::DispatchFrame(service_.get(), frame);
   EXPECT_EQ(result.response.type, serve::MessageType::kOutlierResponse);
   EXPECT_FALSE(result.close);
+}
+
+TEST_F(ServeE2eTest, NonFiniteCoordinatesGetAnAnswerAndTheDaemonServesOn) {
+  // ValidatePoints checks only the dimension, so a NaN or infinite
+  // coordinate reaches the KDE's cell arithmetic, which must answer for it
+  // (exactly 0 for the Epanechnikov kernel: no center is in reach).
+  serve::Client client = ConnectOrDie();
+  ASSERT_TRUE(client.RegisterModel("est", model_path_).ok());
+  serve::DensityBatchRequest request;
+  request.model = "est";
+  request.points = MakePoints(5, 20);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double odd[3][kDim] = {
+      {nan, 0.5, 0.5}, {1e300, 0.5, 0.5}, {-inf, 0.2, 0.0}};
+  for (const auto& row : odd) request.points.Append(data::PointView(row, kDim));
+  auto response = client.Density(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->densities.size(), 23u);
+  for (int64_t i = 0; i < request.points.size(); ++i) {
+    const double want = i < 20 ? reference_->Evaluate(request.points[i]) : 0.0;
+    EXPECT_EQ(response->densities[static_cast<size_t>(i)], want) << i;
+  }
+
+  // The daemon serves the next request on the same connection.
+  request.points = MakePoints(6, 10);
+  auto next = client.Density(request);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->densities[0], reference_->Evaluate(request.points[0]));
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include "util/math.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace dbs {
 namespace {
@@ -87,6 +90,57 @@ TEST(GcdTest, Basics) {
   EXPECT_EQ(Gcd(17, 5), 1u);
   EXPECT_EQ(Gcd(0, 7), 7u);
   EXPECT_EQ(Gcd(7, 0), 7u);
+}
+
+// fl(x * k) <= t at x, and fl(next(x) * k) > t: x is the largest such
+// double.
+void ExpectLargestFactor(double k, double t) {
+  const double x = LargestFactorAtMost(k, t);
+  EXPECT_LE(x * k, t) << "k " << k << ", t " << t << ", x " << x;
+  const double next = std::nextafter(x, std::numeric_limits<double>::infinity());
+  EXPECT_GT(next * k, t) << "k " << k << ", t " << t << ", x " << x;
+}
+
+TEST(LargestFactorAtMostTest, IsTheLargestFactorForRandomOperands) {
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const double k = std::ldexp(rng.NextDouble(0.5, 1.0),
+                                static_cast<int>(rng.NextBounded(200)) - 100);
+    const double t = std::ldexp(rng.NextDouble(0.5, 1.0),
+                                static_cast<int>(rng.NextBounded(200)) - 100);
+    ExpectLargestFactor(k, t);
+  }
+  // Products on the boundary: t is itself a rounded product.
+  for (int i = 0; i < 20000; ++i) {
+    const double k = rng.NextDouble(1e-3, 1e3);
+    const double t = rng.NextDouble(1e-3, 1e3) * k;
+    ExpectLargestFactor(k, t);
+  }
+}
+
+TEST(LargestFactorAtMostTest, EdgeOperands) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // No usable cap: +inf, meaning "no early stop".
+  EXPECT_EQ(LargestFactorAtMost(0.0, 1.0), inf);
+  EXPECT_EQ(LargestFactorAtMost(inf, 1.0), inf);
+  EXPECT_EQ(LargestFactorAtMost(nan, 1.0), inf);
+  EXPECT_EQ(LargestFactorAtMost(-2.0, 1.0), inf);
+  EXPECT_EQ(LargestFactorAtMost(2.0, inf), inf);
+  EXPECT_EQ(LargestFactorAtMost(2.0, nan), inf);
+  // Subnormal k, where many factors round to the same product, and a
+  // product that overflows.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  ExpectLargestFactor(tiny, 1e-320);
+  ExpectLargestFactor(3 * tiny, 5e-324);
+  ExpectLargestFactor(1e-310, 2.5e-300);
+  EXPECT_EQ(LargestFactorAtMost(tiny, 1.0),
+            std::numeric_limits<double>::max());
+  ExpectLargestFactor(1e300, 1e308);
+  // Exact cases, zero and negative t.
+  EXPECT_EQ(LargestFactorAtMost(1.0, 3.0), 3.0);
+  EXPECT_EQ(LargestFactorAtMost(2.0, 0.0), 0.0);
+  ExpectLargestFactor(0.75, -2.5);
 }
 
 }  // namespace
