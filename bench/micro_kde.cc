@@ -9,10 +9,19 @@
 //   batch_indexed    EvaluateBatch, cell-sorted SoA tiles, no executor
 //   batch_brute      EvaluateBatch against the full SoA, index disabled
 //
+// — then the same four in leave-one-out form over as many training rows,
+// some of which are kernel centers that drop their own term —
+//
+//   scalar_excl_indexed / scalar_excl_brute   per-point EvaluateExcluding
+//   batch_excl_indexed / batch_excl_brute     EvaluateExcludingBatch
+//
 // — and then re-runs batch_indexed on the headline configuration sharded
 // across a BatchExecutor at each requested worker count. Every batch result
-// is checked bitwise against the scalar series (the paths promise identical
-// output); mismatches are counted and reported.
+// is checked bitwise against the scalar series of the same form (the paths
+// promise identical output); mismatches are counted and reported. The
+// batch series take the row-lane kernel block, the scalar ones do not, so
+// this also checks the row lanes, with and without exclusion, against the
+// per-point sums. (3, 1000) is the outlier pipeline's shape.
 //
 // Output: a table on stdout, headed by the kernel block clone the batch
 // paths ran (density/kernel_block.h), plus machine-readable JSON in the
@@ -27,6 +36,7 @@
 //             [threads=1,2,4,8] [index=all|grid|brute]
 //             [git_sha=unavailable] [out=BENCH_micro_kde.json]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -122,7 +132,7 @@ bool ParseThreadList(const std::string& spec, std::vector<int>* out) {
 }
 
 void PrintRow(const SeriesResult& r) {
-  std::printf("%16s %4d %8lld %8d %10.4f %14.0f %9.2fx %10lld\n",
+  std::printf("%19s %4d %8lld %8d %10.4f %14.0f %9.2fx %10lld\n",
               r.series.c_str(), r.dim, static_cast<long long>(r.kernels),
               r.threads, r.seconds, r.points_per_sec, r.speedup_vs_scalar,
               static_cast<long long>(r.mismatches));
@@ -184,13 +194,14 @@ int main(int argc, char** argv) {
 
   // (2, 1000) is the headline Fig-2-scale configuration; it also carries
   // the thread-scaling series.
-  const Config kConfigs[] = {{2, 100}, {2, 1000}, {2, 4000}, {5, 1000}};
+  const Config kConfigs[] = {{2, 100}, {2, 1000}, {2, 4000}, {3, 1000},
+                             {5, 1000}};
   const Config kHeadline = {2, 1000};
 
   std::printf("micro_kde: %lld queries, best of %d reps, kernel_isa %s\n\n",
               static_cast<long long>(queries), reps,
               dbs::density::ActiveKernelTileClone().isa);
-  std::printf("%16s %4s %8s %8s %10s %14s %10s %10s\n", "series", "dim",
+  std::printf("%19s %4s %8s %8s %10s %14s %10s %10s\n", "series", "dim",
               "kernels", "threads", "seconds", "points_per_sec", "speedup",
               "mismatch");
 
@@ -210,8 +221,16 @@ int main(int argc, char** argv) {
     std::vector<double> ref_brute(static_cast<size_t>(nq));
     std::vector<double> got(static_cast<size_t>(nq));
 
+    // Leave-one-out rows: the first training rows, as many as there are
+    // queries when the training set holds that many.
+    const int64_t nl = std::min(nq, train.size());
+    const double* loo_rows = train.flat().data();
+    std::vector<double> ref_excl(static_cast<size_t>(nl));
+    std::vector<double> got_excl(static_cast<size_t>(nl));
+
     auto add = [&](const std::string& series, int threads, double seconds,
-                   double scalar_seconds, int64_t mismatches) {
+                   double scalar_seconds, int64_t mismatches,
+                   int64_t count) {
       SeriesResult r;
       r.series = series;
       r.dim = config.dim;
@@ -219,7 +238,7 @@ int main(int argc, char** argv) {
       r.threads = threads;
       r.seconds = seconds;
       r.points_per_sec =
-          seconds > 0 ? static_cast<double>(nq) / seconds : 0.0;
+          seconds > 0 ? static_cast<double>(count) / seconds : 0.0;
       r.speedup_vs_scalar =
           seconds > 0 ? scalar_seconds / seconds : 0.0;
       r.mismatches = mismatches;
@@ -238,7 +257,7 @@ int main(int argc, char** argv) {
       scalar_indexed = TimeBest(reps, [&] {
         for (int64_t i = 0; i < nq; ++i) ref[i] = indexed.Evaluate(query[i]);
       });
-      add("scalar_indexed", 0, scalar_indexed, scalar_indexed, 0);
+      add("scalar_indexed", 0, scalar_indexed, scalar_indexed, 0, nq);
     }
 
     double scalar_brute = 0.0;
@@ -248,7 +267,7 @@ int main(int argc, char** argv) {
           ref_brute[i] = brute.EvaluateBrute(query[i]);
         }
       });
-      add("scalar_brute", 0, scalar_brute, scalar_brute, 0);
+      add("scalar_brute", 0, scalar_brute, scalar_brute, 0, nq);
     }
 
     // Single-thread batch paths, checked bitwise against the scalar runs.
@@ -257,7 +276,7 @@ int main(int argc, char** argv) {
         DBS_CHECK(indexed.EvaluateBatch(rows, nq, got.data()).ok());
       });
       add("batch_indexed", 0, batch_indexed, scalar_indexed,
-          CountMismatches(got, ref));
+          CountMismatches(got, ref), nq);
     }
 
     if (run_brute) {
@@ -265,8 +284,30 @@ int main(int argc, char** argv) {
         DBS_CHECK(brute.EvaluateBatch(rows, nq, got.data()).ok());
       });
       add("batch_brute", 0, batch_brute, scalar_brute,
-          CountMismatches(got, ref_brute));
+          CountMismatches(got, ref_brute), nq);
     }
+
+    // Leave-one-out: each row excludes itself, checked bitwise against the
+    // per-point calls.
+    auto add_excl = [&](const dbs::density::Kde& kde, const char* scalar_name,
+                        const char* batch_name) {
+      const double scalar_seconds = TimeBest(reps, [&] {
+        for (int64_t i = 0; i < nl; ++i) {
+          ref_excl[i] = kde.EvaluateExcluding(train[i], train[i]);
+        }
+      });
+      add(scalar_name, 0, scalar_seconds, scalar_seconds, 0, nl);
+      const double batch_seconds = TimeBest(reps, [&] {
+        DBS_CHECK(
+            kde.EvaluateExcludingBatch(loo_rows, nl, got_excl.data()).ok());
+      });
+      add(batch_name, 0, batch_seconds, scalar_seconds,
+          CountMismatches(got_excl, ref_excl), nl);
+    };
+    if (run_grid) {
+      add_excl(indexed, "scalar_excl_indexed", "batch_excl_indexed");
+    }
+    if (run_brute) add_excl(brute, "scalar_excl_brute", "batch_excl_brute");
 
     // Thread-scaling series on the headline configuration.
     if (headline) {
@@ -281,7 +322,7 @@ int main(int argc, char** argv) {
                 indexed.EvaluateBatch(rows, nq, got.data(), &executor).ok());
           });
           add("batch_indexed", threads, seconds, scalar_indexed,
-              CountMismatches(got, ref));
+              CountMismatches(got, ref), nq);
         }
         executor.Shutdown();
       }

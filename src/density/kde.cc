@@ -300,6 +300,8 @@ double Kde::EvaluateExcluding(data::PointView x, data::PointView self) const {
 struct Kde::TileScratch {
   std::vector<int32_t> idx;  // gathered center indices, visit order
   std::vector<double> soa;   // dim arrays of length idx.size()
+  // Row lanes, then self lanes: 2 x dim x kKernelRowLanes, axis-major.
+  std::vector<double> lanes;
 };
 
 int64_t Kde::GatherTile(const int64_t* base_cell, TileScratch* scratch)
@@ -409,27 +411,60 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
   for (int64_t g = 0; g < num_groups; ++g) {
     const int64_t tile = GatherTile(
         cells.data() + static_cast<size_t>(group_point[g]) * d, &scratch);
-    for (int64_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
-      const int64_t i = begin + order[k];
-      const double sum =
-          SumTile(rows + i * d, scratch.soa.data(), tile,
-                  selves != nullptr ? selves + i * d : nullptr, sum_cap);
-      out[i] = norm_factor_ * sum;
-    }
+    SumRows(rows, selves, begin, order.data() + group_begin[g],
+            group_begin[g + 1] - group_begin[g], scratch.soa.data(), tile,
+            sum_cap, &scratch, out);
   }
 }
 
 void Kde::BatchRangeBrute(const double* rows, const double* selves,
                           int64_t begin, int64_t end, double sum_cap,
                           double* out) const {
+  TileScratch scratch;
+  SumRows(rows, selves, begin, nullptr, end - begin, centers_soa_.data(),
+          centers_.size(), sum_cap, &scratch, out);
+}
+
+void Kde::SumRows(const double* rows, const double* selves, int64_t first,
+                  const int64_t* ids, int64_t count, const double* soa,
+                  int64_t tile, double sum_cap, TileScratch* scratch,
+                  double* out) const {
   const int d = dim();
-  const int64_t m = centers_.size();
-  for (int64_t i = begin; i < end; ++i) {
-    const double* p = rows + i * d;
-    const double sum =
-        SumTile(p, centers_soa_.data(), m,
-                selves != nullptr ? selves + i * d : nullptr, sum_cap);
-    out[i] = norm_factor_ * sum;
+  auto row_of = [&](int64_t k) {
+    return first + (ids != nullptr ? ids[k] : k);
+  };
+  if (kernel_ != KernelType::kEpanechnikov) {
+    for (int64_t k = 0; k < count; ++k) {
+      const int64_t i = row_of(k);
+      out[i] = norm_factor_ *
+               SumTile(rows + i * d, soa, tile,
+                       selves != nullptr ? selves + i * d : nullptr, sum_cap);
+    }
+    return;
+  }
+  constexpr int kLanes = kKernelRowLanes;
+  scratch->lanes.resize(static_cast<size_t>(2 * kLanes) * d);
+  double* lanes = scratch->lanes.data();
+  double* self_lanes =
+      selves != nullptr ? lanes + static_cast<size_t>(kLanes) * d : nullptr;
+  double sums[kLanes];
+  for (int64_t k0 = 0; k0 < count; k0 += kLanes) {
+    const int64_t used = std::min<int64_t>(kLanes, count - k0);
+    // Spare lanes repeat the last row (kernel_block.h): their sums are
+    // dropped, and they cannot hold back the cap's stop.
+    for (int r = 0; r < kLanes; ++r) {
+      const int64_t i = row_of(k0 + std::min<int64_t>(r, used - 1));
+      for (int j = 0; j < d; ++j) {
+        const size_t at = static_cast<size_t>(j) * kLanes + r;
+        lanes[at] = rows[i * d + j];
+        if (self_lanes != nullptr) self_lanes[at] = selves[i * d + j];
+      }
+    }
+    sum_rows_(d, lanes, self_lanes, inv_bandwidths_.data(), soa, tile,
+              sum_cap, sums);
+    for (int64_t r = 0; r < used; ++r) {
+      out[row_of(k0 + r)] = norm_factor_ * sums[r];
+    }
   }
 }
 
@@ -541,7 +576,9 @@ Result<Kde> Kde::FromState(State state, bool rebuild_index) {
   kde.norm_factor_ = static_cast<double>(kde.n_) /
                      static_cast<double>(kde.centers_.size()) * inv_h_prod;
   kde.support_radius_ = KernelSupportRadius(kde.kernel_);
-  kde.sum_tile_ = ActiveKernelTileClone().sum;
+  const KernelTileClone clone = ActiveKernelTileClone();
+  kde.sum_tile_ = clone.sum;
+  kde.sum_rows_ = clone.sum_rows;
   kde.BuildSoA();
   if (rebuild_index && dim <= kMaxIndexDim) {
     kde.BuildIndex();

@@ -25,11 +25,12 @@
 //   * The batch path groups query points by grid cell in linear time (a
 //     hash table of the batch's cells, then a counting scatter), gathers
 //     each cell group's neighborhood once into a contiguous SoA tile
-//     (dim × tile arrays) and runs the frozen product-kernel block loop
-//     over it, through the widest ISA clone of that loop the host CPU
-//     supports (density/kernel_block.h) — bitwise identical to per-point
-//     Evaluate, per-point independent, and therefore shardable across
-//     executor workers.
+//     (dim × tile arrays) and sums the group's rows against it through
+//     the frozen kernel block (density/kernel_block.h): eight rows at a
+//     time in vector lanes for the Epanechnikov kernel, one row at a time
+//     for the others, in the widest ISA clone the host CPU supports —
+//     bitwise identical to per-point Evaluate, per-point independent, and
+//     therefore shardable across executor workers.
 
 #ifndef DBS_DENSITY_KDE_H_
 #define DBS_DENSITY_KDE_H_
@@ -176,6 +177,15 @@ class Kde final : public DensityEstimator {
   // (+inf = the full sum).
   double SumTile(const double* p, const double* soa, int64_t tile,
                  const double* exclude, double sum_cap) const;
+  // Writes out[i] = norm_factor_ * (kernel sum of row i against one SoA
+  // tile) for the `count` rows i = first + ids[k] (ids == nullptr: first +
+  // k), each excluding its selves row when `selves` is given. Epanechnikov
+  // models take the row-lane block eight rows at a time, the other kernels
+  // the single-row block; both give the single-row bits.
+  void SumRows(const double* rows, const double* selves, int64_t first,
+               const int64_t* ids, int64_t count, const double* soa,
+               int64_t tile, double sum_cap, TileScratch* scratch,
+               double* out) const;
   // `selves` is a parallel row-major array of exclusion points (nullptr =
   // exclude nothing; pass `rows` itself for leave-one-out), indexed like
   // `rows` — point i excludes selves + i*dim.
@@ -203,9 +213,10 @@ class Kde final : public DensityEstimator {
   std::vector<double> inv_bandwidths_;  // 1/h_j
   double norm_factor_ = 0.0;            // (n/m) * prod_j (1/h_j)
   data::BoundingBox bounds_;
-  // The kernel block clone for this host's CPU, picked once in FromState
-  // (ActiveKernelTileClone); every clone returns the same bits.
+  // The kernel block clones for this host's CPU, both forms picked once in
+  // FromState (ActiveKernelTileClone); every clone returns the same bits.
   KernelTileFn sum_tile_ = nullptr;
+  KernelRowLanesFn sum_rows_ = nullptr;
 
   // Grid index over centers. Cell extent along j = support_radius * h_j.
   // The index is a flat open-addressed table: a cell's centers occupy

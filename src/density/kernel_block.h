@@ -24,6 +24,35 @@
 // does too. The result is the exact sum when that sum is <= cap, and
 // otherwise some partial sum > cap. cap = +inf never stops and keeps the
 // 256-term blocks: the full sum, for every caller that passes no cap.
+//
+// SumEpanechnikovRowLanes is the row-lane form of the same block for the
+// Epanechnikov kernel: eight rows that share one tile (a cell group, or
+// the brute path's whole center table) are summed at once, one row a lane
+// of an explicit 8-double vector. It returns each row's single-row bits,
+// because nothing a lane computes differs from the single-row block:
+//   * Per term, a lane does the same arithmetic in the same order: k = 1;
+//     then for each axis j, u = (p_j - c_jt) * ih_j, a = 1 - u*u,
+//     k *= (a > 0) ? 0.75*a : 0. -ffp-contract=off keeps FMA out of every
+//     clone, so each operation rounds as it does in the single-row loop.
+//   * The lane is the row's single accumulator and adds EVERY tile term,
+//     zeros included, in ascending tile order. Adding +0.0 to a
+//     non-negative sum is the identity, so this is the superset clause
+//     above: the bits of the compacted chain.
+//   * Leave-one-out sets k = +0.0 for a center whose coordinates all
+//     compare == to the lane's self, as the single-row block compares. A
+//     matching center whose product is already +0.0 gives the same sum
+//     either way, and every duplicate of self drops, as it does there.
+//   * A finite cap is tested after every kKernelCapBlock terms, and the
+//     sum stops only once EVERY lane is above it. A lane that keeps adding
+//     stays "some partial sum > cap", so each row keeps the cap contract
+//     above: the exact bits at or below the cap, some value above it
+//     otherwise. cap = +inf is never tested.
+// A caller with fewer than eight rows fills the spare lanes with copies of
+// its last row and drops their sums: a copy stops when that row does, so
+// it cannot hold back the cap's stop. The vector types make the select a
+// bitwise AND with the comparison mask, which every ISA clone (and a
+// sanitizer build) compiles to vector code with the same bits; a plain
+// double[8] loop of the same arithmetic is not vectorized by gcc 12.
 
 #ifndef DBS_DENSITY_KERNEL_BLOCK_H_
 #define DBS_DENSITY_KERNEL_BLOCK_H_
@@ -133,19 +162,124 @@ inline constexpr int64_t kKernelCapBlock = 16;
   return sum;
 }
 
-// ISA clones (kernel_block.cc). The body above is compiled once for the
+// Rows a row-lane call sums.
+inline constexpr int kKernelRowLanes = 8;
+
+// The explicit vector types that hold the lanes: one 8-double vector in
+// the x86-64-v4 clone, four 2-double vectors in the baseline clone. Each
+// is the widest vector its ISA compares natively; gcc lowers a wider
+// vector comparison to one scalar compare a lane.
+using KernelLanes8 = double __attribute__((vector_size(64)));
+using KernelLaneBits8 = int64_t __attribute__((vector_size(64)));
+using KernelLanes2 = double __attribute__((vector_size(16)));
+using KernelLaneBits2 = int64_t __attribute__((vector_size(16)));
+
+// Row-lane Epanechnikov sums (the contract above) of eight rows against an
+// SoA center tile, the lanes held in vectors of type Lanes (with LaneBits,
+// the integer vector of the same shape, for the masks). `lanes` holds
+// dim x kKernelRowLanes doubles, axis-major: lanes[j * kKernelRowLanes + r]
+// is coordinate j of lane r's row. `self_lanes` holds each lane's self in
+// the same layout (nullptr = no exclusion). `sums` receives the
+// kKernelRowLanes sums. Always inlined, for the clones, like
+// SumKernelProductTile.
+template <typename Lanes, typename LaneBits>
+[[gnu::always_inline]] inline void SumEpanechnikovRowLanes(
+    int dim, const double* lanes, const double* self_lanes,
+    const double* inv_bandwidths, const double* soa, int64_t tile,
+    double cap, double* sums) {
+  constexpr int kWidth = static_cast<int>(sizeof(Lanes) / sizeof(double));
+  constexpr int kParts = kKernelRowLanes / kWidth;
+  static_assert(kParts * kWidth == kKernelRowLanes);
+  // A scalar operand is splat into every lane, and x - (+0.0) is x for
+  // every x, -0.0 included, so `x - zero` holds x in each lane.
+  const Lanes zero = {};
+  const Lanes one = 1.0 - zero;
+  const Lanes three_quarters = 0.75 - zero;
+  const Lanes cap_lanes = cap - zero;
+  // Only a finite cap is tested; with cap = +inf the one block is the tile.
+  const bool capped = cap < __builtin_huge_val();
+  const int64_t width = capped ? kKernelCapBlock : tile;
+  Lanes acc[kParts];
+  for (int q = 0; q < kParts; ++q) acc[q] = zero;
+  for (int64_t b0 = 0; b0 < tile; b0 += width) {
+    const int64_t b1 = std::min(tile, b0 + width);
+    for (int64_t t = b0; t < b1; ++t) {
+      Lanes k[kParts];
+      LaneBits self_match[kParts];
+      for (int q = 0; q < kParts; ++q) {
+        k[q] = one;
+        self_match[q] = ~LaneBits{};
+      }
+      for (int j = 0; j < dim; ++j) {
+        const Lanes cj = soa[static_cast<size_t>(j) * tile + t] - zero;
+        const Lanes ih = inv_bandwidths[j] - zero;
+        const double* row_lanes =
+            lanes + static_cast<size_t>(j) * kKernelRowLanes;
+        for (int q = 0; q < kParts; ++q) {
+          Lanes pj;
+          __builtin_memcpy(&pj, row_lanes + static_cast<size_t>(q) * kWidth,
+                           sizeof(pj));
+          const Lanes u = (pj - cj) * ih;
+          const Lanes a = one - u * u;
+          // (a > 0) ? 0.75*a : +0.0, as a mask: all-ones where a > 0.
+          k[q] *= (Lanes)((LaneBits)(three_quarters * a) &
+                          (LaneBits)(a > zero));
+        }
+        if (self_lanes != nullptr) {
+          const double* self_row_lanes =
+              self_lanes + static_cast<size_t>(j) * kKernelRowLanes;
+          for (int q = 0; q < kParts; ++q) {
+            Lanes sj;
+            __builtin_memcpy(&sj,
+                             self_row_lanes + static_cast<size_t>(q) * kWidth,
+                             sizeof(sj));
+            self_match[q] &= (LaneBits)(sj == cj);
+          }
+        }
+      }
+      for (int q = 0; q < kParts; ++q) {
+        if (self_lanes != nullptr) {
+          k[q] = (Lanes)((LaneBits)k[q] & ~self_match[q]);
+        }
+        acc[q] += k[q];
+      }
+    }
+    if (capped) {
+      bool every_lane_over = true;
+      for (int q = 0; q < kParts; ++q) {
+        const LaneBits over = (LaneBits)(acc[q] > cap_lanes);
+        for (int r = 0; r < kWidth; ++r) {
+          every_lane_over = every_lane_over && over[r] != 0;
+        }
+      }
+      if (every_lane_over) break;
+    }
+  }
+  __builtin_memcpy(sums, acc, sizeof(acc));
+}
+
+// ISA clones (kernel_block.cc). Each body above is compiled once for the
 // baseline ISA and, on x86-64, once more under target("arch=x86-64-v4")
 // (AVX-512, FMA). A wider vector cannot change a result: -ffp-contract=off
 // keeps FMA contraction out of every clone, each per-term operation rounds
-// the same at any width, and the accumulator stays one serial chain in tile
-// order. So every clone returns the baseline clone's bits, which
+// the same at any width, and each accumulator stays one serial chain in
+// tile order. So every clone returns the baseline clone's bits, which
 // tests/density_kernel_clone_test.cc checks with memcmp on every clone the
-// host can run, for every cap. The cap cannot split the clones either: the
-// block width and the stop test read only `cap` and the serial sum.
+// host can run, for every cap, and the row-lane clones return the
+// single-row baseline's bits at or below the cap. The cap cannot split the
+// clones either: the block width and the stop test read only `cap` and the
+// serial sums. The single-row loop vectorizes only in the x86-64-v4 clone
+// (and not under ASan or UBSan); the row-lane form is vector code in every
+// clone and build.
 using KernelTileFn = double (*)(KernelType kernel, int dim, const double* p,
                                 const double* inv_bandwidths,
                                 const double* soa, int64_t tile,
                                 const double* exclude, double cap);
+using KernelRowLanesFn = void (*)(int dim, const double* lanes,
+                                  const double* self_lanes,
+                                  const double* inv_bandwidths,
+                                  const double* soa, int64_t tile, double cap,
+                                  double* sums);
 
 double SumKernelProductTileBaseline(KernelType kernel, int dim,
                                     const double* p,
@@ -158,9 +292,23 @@ __attribute__((target("arch=x86-64-v4"))) double SumKernelProductTileV4(
     const double* soa, int64_t tile, const double* exclude, double cap);
 #endif
 
+void SumEpanechnikovRowLanesBaseline(int dim, const double* lanes,
+                                     const double* self_lanes,
+                                     const double* inv_bandwidths,
+                                     const double* soa, int64_t tile,
+                                     double cap, double* sums);
+#if defined(__x86_64__)
+__attribute__((target("arch=x86-64-v4"))) void SumEpanechnikovRowLanesV4(
+    int dim, const double* lanes, const double* self_lanes,
+    const double* inv_bandwidths, const double* soa, int64_t tile,
+    double cap, double* sums);
+#endif
+
+// One ISA's clones of both forms, picked together.
 struct KernelTileClone {
   const char* isa;  // "x86-64-v4", "x86-64"; "generic" elsewhere
   KernelTileFn sum;
+  KernelRowLanesFn sum_rows;
 };
 
 inline constexpr int kMaxKernelTileClones = 2;

@@ -6,6 +6,7 @@
 // addressed), 0/1/4 workers, and against a frozen reference that forces
 // every evaluation through the pre-batching scalar virtuals.
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -297,6 +298,81 @@ TEST(DensityBatchEdgeTest, ManyRowsInFewCellsMatchScalar) {
     queries.Append(data::PointView(q, 2));
   }
   CheckEstimator(*kde, queries);
+}
+
+// Kde sums an Epanechnikov cell group eight rows at a time in row lanes
+// (density/kernel_block.h), the last vector padded with the group's last
+// row. Cells holding 7, 8, 9, 16 and 17 rows give a partial vector alone,
+// one full vector, a full one and a one-row tail, two full ones, and two
+// full ones and a tail. Each cell's rows are a kernel center and points
+// between it and its cell's middle, interleaved across cells, and the
+// center comes last, so leave-one-out drops terms in the padding row. The
+// brute model sums the same rows as one range.
+TEST(DensityBatchEdgeTest, CellsHoldingPartialAndFullLaneVectorsMatchScalar) {
+  const int sizes[] = {7, 8, 9, 16, 17};
+  constexpr int kCells = 5;
+  for (int dim : {2, 3}) {
+    SCOPED_TRACE(dim);
+    data::PointSet data = MakeData(dim, 4000, 22);
+    // With the fixed bandwidth h, a grid cell is h wide on every axis.
+    const double h = 0.05;
+    KdeOptions opts;
+    opts.num_kernels = 300;
+    opts.seed = 9;
+    opts.bandwidth_rule = BandwidthRule::kFixed;
+    opts.fixed_bandwidth = h;
+    auto kde = Kde::Fit(data, opts);
+    ASSERT_TRUE(kde.ok());
+    auto cell_of = [&](const double* q) {
+      std::vector<double> cell(static_cast<size_t>(dim));
+      for (int j = 0; j < dim; ++j) cell[j] = std::floor(q[j] / h);
+      return cell;
+    };
+    // Kernel centers in distinct cells.
+    std::vector<int64_t> picked;
+    std::vector<std::vector<double>> picked_cells;
+    for (int64_t i = 0; i < kde->num_kernels() && picked.size() < kCells;
+         ++i) {
+      const std::vector<double> cell = cell_of(kde->centers()[i].data());
+      bool seen = false;
+      for (const auto& other : picked_cells) seen = seen || other == cell;
+      if (seen) continue;
+      picked.push_back(i);
+      picked_cells.push_back(cell);
+    }
+    ASSERT_EQ(picked.size(), static_cast<size_t>(kCells));
+    // Row r of cell g: the center moved r/64 of the way to its cell's
+    // middle, which stays in the cell; the center itself is the last row.
+    std::vector<std::vector<std::vector<double>>> groups(kCells);
+    for (int g = 0; g < kCells; ++g) {
+      const double* center = kde->centers()[picked[g]].data();
+      for (int r = 1; r <= sizes[g]; ++r) {
+        std::vector<double> q(center, center + dim);
+        if (r < sizes[g]) {
+          for (int j = 0; j < dim; ++j) {
+            const double middle = (picked_cells[g][j] + 0.5) * h;
+            q[j] += (middle - q[j]) * r / 64.0;
+          }
+        }
+        ASSERT_EQ(cell_of(q.data()), picked_cells[g]);
+        groups[g].push_back(q);
+      }
+    }
+    data::PointSet queries(dim);
+    for (int r = 0; r < 17; ++r) {
+      for (int g = 0; g < kCells; ++g) {
+        if (r < sizes[g]) queries.Append(groups[g][r]);
+      }
+    }
+    ASSERT_EQ(queries.size(), 7 + 8 + 9 + 16 + 17);
+    CheckEstimator(*kde, queries);
+
+    KdeOptions brute_opts = opts;
+    brute_opts.use_grid_index = false;
+    auto brute = Kde::Fit(data, brute_opts);
+    ASSERT_TRUE(brute.ok());
+    CheckEstimator(*brute, queries);
+  }
 }
 
 // A cell id is folded axis by axis, so the grid serves any dimensionality:

@@ -39,14 +39,19 @@ PlantedWorkload MakePlanted(int64_t n_cloud, int n_outliers, uint64_t seed,
     for (double& v : x) v = rng.NextDouble(0.4, 0.6);
     w.points.Append(x);
   }
-  // Outliers on a far ring in the first two axes: pairwise distant and far
-  // from the cloud.
+  // Outliers on a far ring in the first two axes, or in 1-D on the line,
+  // alternating sides, 1 apart: pairwise distant and far from the cloud.
   for (int i = 0; i < n_outliers; ++i) {
     double angle = 2.0 * M_PI * i / n_outliers;
     w.outlier_indices.push_back(w.points.size());
     std::fill(x.begin(), x.end(), 0.5);
-    x[0] = 0.5 + 2.0 * std::cos(angle);
-    x[1] = 0.5 + 2.0 * std::sin(angle);
+    if (dim == 1) {
+      const int step = i / 2;
+      x[0] = 0.5 + (i % 2 == 0 ? 1.0 : -1.0) * (2.0 + step);
+    } else {
+      x[0] = 0.5 + 2.0 * std::cos(angle);
+      x[1] = 0.5 + 2.0 * std::sin(angle);
+    }
     w.points.Append(x);
   }
   return w;
@@ -313,6 +318,25 @@ TEST(KdeDetectorTest, FindsAllPlantedOutliersInTwoPasses) {
   for (int64_t idx : w.outlier_indices) {
     EXPECT_TRUE(found.count(idx)) << "missed planted outlier " << idx;
   }
+}
+
+// 1-D: the planted outliers sit on the line. The approximate detector's
+// report, whose score pass sums the cloud's rows in row lanes at d = 1,
+// must be the nested-loop oracle's.
+TEST(KdeDetectorTest, MatchesOracleOnPlantedLine) {
+  PlantedWorkload w = MakePlanted(3000, 6, 21, /*dim=*/1);
+  density::Kde kde = FitKde(w.points);
+  DbOutlierParams params;
+  params.radius = 0.005;
+  params.max_neighbors = 5;
+  auto approx =
+      DetectOutliersApproximate(w.points, kde, params, KdeDetectorOptions{});
+  auto oracle = DetectOutliersNestedLoop(w.points, params);
+  ASSERT_TRUE(approx.ok());
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(approx->outlier_indices, oracle->outlier_indices);
+  EXPECT_EQ(approx->neighbor_counts, oracle->neighbor_counts);
+  EXPECT_EQ(approx->outlier_indices, w.outlier_indices);
 }
 
 TEST(KdeDetectorTest, MatchesExactDetectorOnPlantedData) {
