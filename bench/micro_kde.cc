@@ -23,6 +23,16 @@
 // this also checks the row lanes, with and without exclusion, against the
 // per-point sums. (3, 1000) is the outlier pipeline's shape.
 //
+// Each configuration starts with a `build` row: the fastest Kde::FromState
+// of the indexed model, which builds the grid index and, when m * 9^d <=
+// 2^20, the neighbor-tile table that batch_indexed then takes its tiles
+// from (its `tile_cells`; 0 = every tile is gathered). The 2-D and 3-D
+// configurations have a table, the 5-D one gathers.
+//
+// queries= and data_points= are the rows evaluated and fitted on: each
+// set is drawn as that many cluster points plus 10% noise, shuffled, and
+// cut to the flag's row count.
+//
 // Output: a table on stdout, headed by the kernel block clone the batch
 // paths ran (density/kernel_block.h), plus machine-readable JSON in the
 // shape of BENCH_serve_throughput.json (BENCH_micro_kde.json, override with
@@ -69,18 +79,23 @@ struct SeriesResult {
   double points_per_sec = 0.0;
   double speedup_vs_scalar = 0.0;
   int64_t mismatches = 0;
+  int64_t tile_cells = -1;  // build rows only: Kde::neighbor_tile_cells()
 };
 
 dbs::data::PointSet MakeData(int dim, int64_t points, uint64_t seed) {
   dbs::synth::ClusteredDatasetOptions opts;
   opts.dim = dim;
   opts.num_clusters = 10;
-  opts.num_cluster_points = points / 10;
+  opts.num_cluster_points = points;
   opts.noise_multiplier = 0.1;
+  opts.shuffle = true;
   opts.seed = seed;
   auto ds = dbs::synth::MakeClusteredDataset(opts);
   DBS_CHECK(ds.ok());
-  return std::move(ds)->points;
+  dbs::data::PointSet rows(dim);
+  rows.Reserve(points);
+  for (int64_t i = 0; i < points; ++i) rows.Append(ds->points[i]);
+  return rows;
 }
 
 dbs::density::Kde FitKde(const dbs::data::PointSet& points, int64_t kernels,
@@ -132,14 +147,18 @@ bool ParseThreadList(const std::string& spec, std::vector<int>* out) {
 }
 
 void PrintRow(const SeriesResult& r) {
-  std::printf("%19s %4d %8lld %8d %10.4f %14.0f %9.2fx %10lld\n",
+  std::printf("%19s %4d %8lld %8d %10.4f %14.0f %9.2fx %10lld",
               r.series.c_str(), r.dim, static_cast<long long>(r.kernels),
               r.threads, r.seconds, r.points_per_sec, r.speedup_vs_scalar,
               static_cast<long long>(r.mismatches));
+  if (r.tile_cells >= 0) {
+    std::printf("   tile_cells %lld", static_cast<long long>(r.tile_cells));
+  }
+  std::printf("\n");
 }
 
 void WriteJson(const std::string& path, const std::string& git_sha,
-               int64_t queries, int reps,
+               int64_t queries, int64_t data_points, int reps,
                const std::vector<SeriesResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -149,19 +168,25 @@ void WriteJson(const std::string& path, const std::string& git_sha,
   std::fprintf(f, "{\n  \"bench\": \"micro_kde\",\n");
   dbs::bench::WriteBenchMeta(f, git_sha);
   std::fprintf(f,
-               "  \"queries\": %lld,\n  \"reps\": %d,\n  \"results\": [\n",
-               static_cast<long long>(queries), reps);
+               "  \"queries\": %lld,\n  \"data_points\": %lld,\n"
+               "  \"reps\": %d,\n  \"results\": [\n",
+               static_cast<long long>(queries),
+               static_cast<long long>(data_points), reps);
   for (size_t i = 0; i < results.size(); ++i) {
     const SeriesResult& r = results[i];
     std::fprintf(f,
                  "    {\"series\": \"%s\", \"dim\": %d, \"kernels\": %lld, "
                  "\"threads\": %d, \"seconds\": %.6f, "
                  "\"points_per_sec\": %.1f, \"speedup_vs_scalar\": %.3f, "
-                 "\"mismatches\": %lld}%s\n",
+                 "\"mismatches\": %lld",
                  r.series.c_str(), r.dim, static_cast<long long>(r.kernels),
                  r.threads, r.seconds, r.points_per_sec, r.speedup_vs_scalar,
-                 static_cast<long long>(r.mismatches),
-                 i + 1 < results.size() ? "," : "");
+                 static_cast<long long>(r.mismatches));
+    if (r.tile_cells >= 0) {
+      std::fprintf(f, ", \"tile_cells\": %lld",
+                   static_cast<long long>(r.tile_cells));
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -198,9 +223,11 @@ int main(int argc, char** argv) {
                              {5, 1000}};
   const Config kHeadline = {2, 1000};
 
-  std::printf("micro_kde: %lld queries, best of %d reps, kernel_isa %s\n\n",
-              static_cast<long long>(queries), reps,
-              dbs::density::ActiveKernelTileClone().isa);
+  std::printf(
+      "micro_kde: %lld query rows, %lld training rows, best of %d reps, "
+      "kernel_isa %s\n\n",
+      static_cast<long long>(queries), static_cast<long long>(data_points),
+      reps, dbs::density::ActiveKernelTileClone().isa);
   std::printf("%19s %4s %8s %8s %10s %14s %10s %10s\n", "series", "dim",
               "kernels", "threads", "seconds", "points_per_sec", "speedup",
               "mismatch");
@@ -230,7 +257,7 @@ int main(int argc, char** argv) {
 
     auto add = [&](const std::string& series, int threads, double seconds,
                    double scalar_seconds, int64_t mismatches,
-                   int64_t count) {
+                   int64_t count, int64_t tile_cells = -1) {
       SeriesResult r;
       r.series = series;
       r.dim = config.dim;
@@ -242,9 +269,25 @@ int main(int argc, char** argv) {
       r.speedup_vs_scalar =
           seconds > 0 ? scalar_seconds / seconds : 0.0;
       r.mismatches = mismatches;
+      r.tile_cells = tile_cells;
       PrintRow(r);
       results.push_back(r);
     };
+
+    // Model build: FromState on a copy of the indexed model's state, the
+    // copy made outside the timed region.
+    double build_seconds = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      dbs::density::Kde::State state = indexed.ExportState();
+      Clock::time_point start = Clock::now();
+      auto rebuilt = dbs::density::Kde::FromState(std::move(state));
+      const double seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      DBS_CHECK(rebuilt.ok());
+      if (r == 0 || seconds < build_seconds) build_seconds = seconds;
+    }
+    add("build", 0, build_seconds, 0.0, 0, indexed.num_kernels(),
+        indexed.neighbor_tile_cells());
 
     const bool headline =
         config.dim == kHeadline.dim && config.kernels == kHeadline.kernels;
@@ -335,6 +378,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: %lld batch results differ from scalar\n",
                  static_cast<long long>(total_mismatches));
   }
-  if (!out.empty()) WriteJson(out, git_sha, queries, reps, results);
+  if (!out.empty()) {
+    WriteJson(out, git_sha, queries, data_points, reps, results);
+  }
   return total_mismatches > 0 ? 1 : 0;
 }

@@ -31,6 +31,14 @@ uint64_t HashCell(const int64_t* cell, int dim) {
 // itself; evaluation falls back to the brute-force sum.
 constexpr int kMaxIndexDim = 6;
 
+// The neighbor-tile table is built only when m * 9^d is at most this. Its
+// dilation holds at most m * 3^d cells and GatherTile fills each with 3^d
+// bucket probes, so the budget bounds the build's probes: 2-D models up
+// to m ~ 12,900 and 3-D models up to m ~ 1,400 get a table, 4-D models
+// above m = 159 and 5-D and 6-D models at the paper's m keep the gather
+// (DESIGN.md §9).
+constexpr int64_t kTileTableProbeBudget = int64_t{1} << 20;
+
 }  // namespace
 
 Result<Kde> Kde::Fit(data::DataScan& scan, const KdeOptions& options) {
@@ -153,6 +161,7 @@ void Kde::BuildIndex() {
     }
   }
   indexed_ = true;
+  BuildTileTable();
 }
 
 bool Kde::CellOf(const double* p, int64_t* cell) const {
@@ -296,6 +305,23 @@ double Kde::EvaluateExcluding(data::PointView x, data::PointView self) const {
 // out SoA so the kernel loop streams contiguous memory, and a zero kernel
 // factor multiplies through to +0.0 instead of branching out early (adding
 // +0.0 to a non-negative sum cannot change its bits).
+//
+// The neighbor-tile table changes only where a group's tile bytes come
+// from (DESIGN.md §9):
+//   * Each entry is filled by GatherTile on its own cell, so it holds the
+//     centers the gather would return, in the same order.
+//   * Entries are keyed by exact cell: the hash first, then a coordinate
+//     compare, as the grouping table below does. The grid's buckets are
+//     keyed by hash, so two cells can share a bucket, but a tile belongs
+//     to exactly one cell.
+//   * A cell the table lacks has no center cell in its 3^d block.
+//     GatherTile can return centers for it only through a 64-bit key
+//     collision; such centers lie in cells that are not neighbors, outside
+//     the support of every row in the cell, so each of their terms is
+//     +0.0. The empty tile gives +0.0 too, with or without a cap.
+//   * The table is filled before FromState returns and only read after:
+//     a const model gains no mutable state. It is not serialized; a loaded
+//     model rebuilds it and a copied one copies it.
 
 struct Kde::TileScratch {
   std::vector<int32_t> idx;  // gathered center indices, visit order
@@ -328,6 +354,82 @@ int64_t Kde::GatherTile(const int64_t* base_cell, TileScratch* scratch)
     for (int64_t t = 0; t < tile; ++t) col[t] = src[scratch->idx[t]];
   }
   return tile;
+}
+
+void Kde::BuildTileTable() {
+  const int d = dim();
+  const int64_t m = centers_.size();
+  // Decided from m and d alone, before any per-cell work.
+  int64_t probes = m;
+  for (int j = 0; j < d; ++j) probes *= 9;
+  if (probes > kTileTableProbeBudget) return;
+
+  // The center cells. A bucket keeps one cell's centers together (two
+  // cells interleave only when their hashes collide), so a center whose
+  // cell repeats its predecessor's is skipped; a cell listed twice is
+  // deduplicated below.
+  std::vector<int64_t> base_cells;
+  int64_t cell[kMaxIndexDim];
+  for (int64_t t = 0; t < m; ++t) {
+    // BuildIndex bucketed every center, so every center cell is
+    // representable.
+    (void)CellOf(centers_[cell_centers_[static_cast<size_t>(t)]].data(),
+                 cell);
+    if (t > 0 && SameCell(base_cells.data() + base_cells.size() - d, cell,
+                          d)) {
+      continue;
+    }
+    base_cells.insert(base_cells.end(), cell, cell + d);
+  }
+
+  // Their 3^d dilation, each cell once, in an open-addressed table of at
+  // least twice as many slots as the dilation can hold cells.
+  const int64_t num_base = static_cast<int64_t>(base_cells.size()) / d;
+  uint64_t slots = 1;
+  while (slots < 2 * static_cast<uint64_t>(num_base * num_neighbor_cells_)) {
+    slots <<= 1;
+  }
+  tile_slot_mask_ = slots - 1;
+  tile_slots_.assign(slots, -1);
+  for (int64_t b = 0; b < num_base; ++b) {
+    const int64_t* base = base_cells.data() + static_cast<size_t>(b) * d;
+    for (int c = 0; c < num_neighbor_cells_; ++c) {
+      const int64_t* off =
+          neighbor_offsets_.data() + static_cast<size_t>(c) * d;
+      for (int j = 0; j < d; ++j) cell[j] = base[j] + off[j];
+      const uint64_t key = HashCell(cell, d);
+      if (FindTile(key, cell) >= 0) continue;
+      uint64_t s = key & tile_slot_mask_;
+      while (tile_slots_[s] >= 0) s = (s + 1) & tile_slot_mask_;
+      tile_slots_[s] = static_cast<int32_t>(tile_keys_.size());
+      tile_keys_.push_back(key);
+      tile_cells_.insert(tile_cells_.end(), cell, cell + d);
+    }
+  }
+
+  // Each cell's tile, from the gather it replaces.
+  const int64_t entries = static_cast<int64_t>(tile_keys_.size());
+  tile_begin_.assign(static_cast<size_t>(entries) + 1, 0);
+  tile_soa_.reserve(static_cast<size_t>(d) * m * num_neighbor_cells_);
+  TileScratch scratch;
+  for (int64_t e = 0; e < entries; ++e) {
+    const int64_t tile = GatherTile(
+        tile_cells_.data() + static_cast<size_t>(e) * d, &scratch);
+    tile_soa_.insert(tile_soa_.end(), scratch.soa.begin(), scratch.soa.end());
+    tile_begin_[e + 1] = tile_begin_[e] + tile;
+  }
+}
+
+int64_t Kde::FindTile(uint64_t key, const int64_t* cell) const {
+  const int d = dim();
+  for (uint64_t s = key & tile_slot_mask_;; s = (s + 1) & tile_slot_mask_) {
+    const int32_t e = tile_slots_[s];
+    if (e < 0) return -1;
+    if (tile_keys_[e] == key &&
+        SameCell(tile_cells_.data() + static_cast<size_t>(e) * d, cell, d)) {
+      return e;
+    }
+  }
 }
 
 double Kde::SumTile(const double* p, const double* soa, int64_t tile,
@@ -407,13 +509,29 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
     if (group_of[i] >= 0) order[cursor[group_of[i]]++] = i;
   }
 
+  // A group's tile is one probe of the neighbor-tile table, keyed by the
+  // hash the grouping computed (a cell the table lacks has the empty
+  // tile), or a gather when the model has no table.
+  const bool has_table = !tile_keys_.empty();
   TileScratch scratch;
   for (int64_t g = 0; g < num_groups; ++g) {
-    const int64_t tile = GatherTile(
-        cells.data() + static_cast<size_t>(group_point[g]) * d, &scratch);
+    const int64_t* cell =
+        cells.data() + static_cast<size_t>(group_point[g]) * d;
+    const double* soa = tile_soa_.data();
+    int64_t tile = 0;
+    if (has_table) {
+      const int64_t e = FindTile(group_hash[g], cell);
+      if (e >= 0) {
+        soa += static_cast<size_t>(d) * tile_begin_[e];
+        tile = tile_begin_[e + 1] - tile_begin_[e];
+      }
+    } else {
+      tile = GatherTile(cell, &scratch);
+      soa = scratch.soa.data();
+    }
     SumRows(rows, selves, begin, order.data() + group_begin[g],
-            group_begin[g + 1] - group_begin[g], scratch.soa.data(), tile,
-            sum_cap, &scratch, out);
+            group_begin[g + 1] - group_begin[g], soa, tile, sum_cap,
+            &scratch, out);
   }
 }
 

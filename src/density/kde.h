@@ -23,14 +23,18 @@
 //     pattern is precomputed once at BuildIndex time instead of being
 //     re-enumerated per evaluation.
 //   * The batch path groups query points by grid cell in linear time (a
-//     hash table of the batch's cells, then a counting scatter), gathers
-//     each cell group's neighborhood once into a contiguous SoA tile
-//     (dim × tile arrays) and sums the group's rows against it through
-//     the frozen kernel block (density/kernel_block.h): eight rows at a
-//     time in vector lanes for the Epanechnikov kernel, one row at a time
-//     for the others, in the widest ISA clone the host CPU supports —
-//     bitwise identical to per-point Evaluate, per-point independent, and
-//     therefore shardable across executor workers.
+//     hash table of the batch's cells, then a counting scatter), takes
+//     each cell group's neighborhood as one contiguous SoA tile (dim ×
+//     tile arrays) and sums the group's rows against it through the
+//     frozen kernel block (density/kernel_block.h): eight rows at a time
+//     in vector lanes for the Epanechnikov kernel, one row at a time for
+//     the others, in the widest ISA clone the host CPU supports — bitwise
+//     identical to per-point Evaluate, per-point independent, and
+//     therefore shardable across executor workers. The tile is one probe
+//     of the neighbor-tile table BuildIndex fills, once, with the tile of
+//     every cell a center's support reaches; a model whose table would
+//     cost more than a fixed budget to build has none and gathers each
+//     group's tile from its 3^d neighbor buckets instead.
 
 #ifndef DBS_DENSITY_KDE_H_
 #define DBS_DENSITY_KDE_H_
@@ -134,6 +138,11 @@ class Kde final : public DensityEstimator {
   double AverageDensity() const override;
 
   int64_t num_kernels() const { return centers_.size(); }
+  // Cells in the neighbor-tile table; 0 when the batch path gathers every
+  // tile (no index, or a table over the build budget).
+  int64_t neighbor_tile_cells() const {
+    return static_cast<int64_t>(tile_keys_.size());
+  }
   const data::PointSet& centers() const { return centers_; }
   const std::vector<double>& bandwidths() const { return bandwidths_; }
   const data::BoundingBox& bounds() const { return bounds_; }
@@ -159,6 +168,9 @@ class Kde final : public DensityEstimator {
   Kde() = default;
 
   void BuildIndex();
+  // Fills the neighbor-tile table (below) through GatherTile when its
+  // build stays within a fixed probe budget; called by BuildIndex.
+  void BuildTileTable();
   // Column-major copy of the centers for the batch paths (built always).
   void BuildSoA();
   // Grid cell of the point at `p` into cell[0..dim). False when a
@@ -171,6 +183,9 @@ class Kde final : public DensityEstimator {
   // Gathers the 3^d-neighborhood of `base_cell` into scratch (center
   // indices + SoA tile) in the canonical visit order; returns tile size.
   int64_t GatherTile(const int64_t* base_cell, TileScratch* scratch) const;
+  // The table entry of `cell`, whose HashCell is `key`, or -1 when the
+  // table holds no such cell.
+  int64_t FindTile(uint64_t key, const int64_t* cell) const;
   // Ordered kernel-product sum of `p` against a SoA tile through the
   // chosen ISA clone; `exclude` is the coordinates of a center to skip
   // (nullptr = none), and `sum_cap` the kernel block's early-stop cap
@@ -238,6 +253,21 @@ class Kde final : public DensityEstimator {
   // centers_ transposed: dim arrays of length m (centers_soa_[j*m + i] =
   // centers_[i][j]); the contiguous columns the batch inner loop streams.
   std::vector<double> centers_soa_;
+
+  // Neighbor-tile table, read-only once FromState returns and never
+  // serialized: entry e is the cell tile_cells_[e*dim, (e+1)*dim) of the
+  // 3^d dilation of the center cells, its HashCell tile_keys_[e], and the
+  // SoA tile GatherTile returns for it, dim arrays of length
+  // tile_begin_[e+1] - tile_begin_[e] from tile_soa_ + dim*tile_begin_[e].
+  // tile_slots_ is an open-addressed table of entry ids (-1 = empty slot),
+  // probed by key and confirmed by an exact cell compare. Empty when the
+  // build would exceed its budget (BuildTileTable).
+  uint64_t tile_slot_mask_ = 0;
+  std::vector<int32_t> tile_slots_;
+  std::vector<uint64_t> tile_keys_;
+  std::vector<int64_t> tile_cells_;
+  std::vector<int64_t> tile_begin_;
+  std::vector<double> tile_soa_;
 };
 
 }  // namespace dbs::density

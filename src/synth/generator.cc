@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/rng.h"
 
@@ -79,13 +80,18 @@ std::vector<int64_t> ClusterPointCounts(int num_clusters, int64_t total,
   Rng rng(options.seed);
   const int d = options.dim;
 
-  // Place non-overlapping boxes by rejection; shrink extents if placement
-  // stalls so generation always terminates.
+  // Place non-overlapping boxes by rejection, shrinking the extents each
+  // time placement stalls. Once the extents sit at their floors, the boxes
+  // already placed can leave no gap a new one fits (random placement jams
+  // a line easily), so after a fixed number of stalled rounds there the
+  // generator gives up instead of retrying forever.
+  constexpr int kMaxRoundsAtFloor = 1000;
   std::vector<std::vector<double>> los;
   std::vector<std::vector<double>> his;
   double max_extent = options.max_extent;
   double min_extent = options.min_extent;
   int stalls = 0;
+  int rounds_at_floor = 0;
   while (static_cast<int>(los.size()) < options.num_clusters) {
     std::vector<double> lo(d);
     std::vector<double> hi(d);
@@ -103,8 +109,19 @@ std::vector<int64_t> ClusterPointCounts(int num_clusters, int64_t total,
     if (overlaps) {
       if (++stalls > 200) {
         // Too crowded at this size; shrink and retry.
-        max_extent = std::max(min_extent, max_extent * 0.8);
-        min_extent = std::max(0.005, min_extent * 0.8);
+        const double shrunk_max = std::max(min_extent, max_extent * 0.8);
+        const double shrunk_min = std::max(0.005, min_extent * 0.8);
+        if (shrunk_max == max_extent && shrunk_min == min_extent &&
+            ++rounds_at_floor > kMaxRoundsAtFloor) {
+          return Status::InvalidArgument(
+              "cannot place " + std::to_string(options.num_clusters) +
+              " separated clusters in " + std::to_string(d) +
+              "-D: placed " + std::to_string(los.size()) +
+              " before the space jammed; use fewer clusters or a smaller "
+              "min_separation");
+        }
+        max_extent = shrunk_max;
+        min_extent = shrunk_min;
         stalls = 0;
       }
       continue;

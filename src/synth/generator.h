@@ -50,7 +50,10 @@ struct ClusteredDataset {
 
 // Generates non-overlapping hyper-rectangle clusters plus uniform noise in
 // [0,1]^dim. Points are emitted cluster by cluster, noise last; labels in
-// `truth` follow the same order.
+// `truth` follow the same order. Cluster boxes are placed at random, kept
+// min_separation apart, and shrink when placement stalls; InvalidArgument
+// when the boxes placed so far leave no room for the rest even at the
+// smallest extent (e.g. 10 clusters in 1-D at the default separation).
 [[nodiscard]] Result<ClusteredDataset> MakeClusteredDataset(
     const ClusteredDatasetOptions& options);
 

@@ -6,8 +6,14 @@
 // addressed), 0/1/4 workers, and against a frozen reference that forces
 // every evaluation through the pre-batching scalar virtuals.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,8 +22,10 @@
 #include "data/point_set.h"
 #include "density/grid_density.h"
 #include "density/kde.h"
+#include "density/kde_io.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
+#include "test_temp.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -189,6 +197,9 @@ TEST_P(DensityBatchTest, KdeIndexedMatchesScalarBitwise) {
   opts.use_grid_index = true;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
+  // m * 9^d <= 2^20 builds the neighbor-tile table: dims 2 and 3 take
+  // their tiles from it, dim 5 gathers them.
+  EXPECT_EQ(kde->neighbor_tile_cells() > 0, dim <= 3);
   CheckEstimator(*kde, queries);
 }
 
@@ -202,6 +213,7 @@ TEST_P(DensityBatchTest, KdeBruteMatchesScalarBitwise) {
   opts.use_grid_index = false;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
+  EXPECT_EQ(kde->neighbor_tile_cells(), 0);
   CheckEstimator(*kde, queries);
 }
 
@@ -484,6 +496,297 @@ TEST(DensityBatchEdgeTest, MeanDensityPowMatchesAcrossExecutors) {
     EXPECT_EQ(std::memcmp(&sequential, &sharded, sizeof(double)), 0)
         << "a=" << a << ": " << sequential << " vs " << sharded;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The neighbor-tile table (kde.cc). When m * 9^d <= 2^20, BuildIndex fills
+// the tile GatherTile returns for every cell of the 3^d dilation of the
+// center cells, and the batch path takes a cell group's tile in one probe;
+// a cell outside the table has the empty tile. Above the budget every tile
+// is gathered. Either way every output keeps the scalar path's bits.
+
+// Checks EvaluateExcludingBatchCapped at `cap` against each row's scalar
+// leave-one-out value: the same `<= cap` decision, and the scalar bits at
+// or below the cap.
+void ExpectCappedMatchesScalar(const Kde& kde, const data::PointSet& rows,
+                               const std::vector<double>& scalar_loo,
+                               double cap,
+                               parallel::BatchExecutor* executor) {
+  const int64_t n = rows.size();
+  std::vector<double> capped(static_cast<size_t>(n));
+  ASSERT_TRUE(kde.EvaluateExcludingBatchCapped(rows.flat().data(), n, cap,
+                                               capped.data(), executor)
+                  .ok());
+  for (int64_t i = 0; i < n; ++i) {
+    if (scalar_loo[i] <= cap) {
+      ASSERT_EQ(std::memcmp(&capped[i], &scalar_loo[i], sizeof(double)), 0)
+          << "row " << i << " cap " << cap << ": batch " << capped[i]
+          << " vs scalar " << scalar_loo[i];
+    } else {
+      ASSERT_GT(capped[i], cap) << "row " << i << " scalar " << scalar_loo[i];
+    }
+  }
+}
+
+// Caps 0 and +inf, the median, largest and smallest positive leave-one-out
+// values (so some rows sit exactly at the cap), on 0 and 2 workers; then
+// each of the first rows alone, capped at its own exact value.
+void CheckCaps(const Kde& kde, const data::PointSet& rows) {
+  const int64_t n = rows.size();
+  std::vector<double> scalar_loo(static_cast<size_t>(n));
+  std::vector<double> positive;
+  for (int64_t i = 0; i < n; ++i) {
+    scalar_loo[i] = kde.EvaluateExcluding(rows[i], rows[i]);
+    if (scalar_loo[i] > 0) positive.push_back(scalar_loo[i]);
+  }
+  ASSERT_FALSE(positive.empty());
+  std::sort(positive.begin(), positive.end());
+  const double caps[] = {0.0, std::numeric_limits<double>::infinity(),
+                         positive[positive.size() / 2], positive.back(),
+                         positive.front()};
+  parallel::BatchExecutorOptions pool_options;
+  pool_options.num_workers = 2;
+  parallel::BatchExecutor pool(pool_options);
+  parallel::BatchExecutor* const executors[] = {nullptr, &pool};
+  for (parallel::BatchExecutor* executor : executors) {
+    for (double cap : caps) {
+      ExpectCappedMatchesScalar(kde, rows, scalar_loo, cap, executor);
+    }
+  }
+  pool.Shutdown();
+  for (int64_t i = 0; i < std::min<int64_t>(n, 64); ++i) {
+    double capped = 0.0;
+    ASSERT_TRUE(kde.EvaluateExcludingBatchCapped(rows[i].data(), 1,
+                                                 scalar_loo[i], &capped)
+                    .ok());
+    ASSERT_EQ(std::memcmp(&capped, &scalar_loo[i], sizeof(double)), 0)
+        << "row " << i;
+  }
+}
+
+// 2-D and 3-D at m = 1000 take their tiles from the table, 4-D and 5-D
+// gather them; both sides keep the full contract, capped sums included.
+TEST(NeighborTileTableTest, ModelsOnEachSideOfTheBudgetMatchScalar) {
+  for (int dim : {2, 3, 4, 5}) {
+    SCOPED_TRACE(dim);
+    data::PointSet data = MakeData(dim, 10000, 31);
+    data::PointSet queries = MakeQueries(data, 2000);
+    KdeOptions opts;
+    opts.num_kernels = 1000;
+    opts.seed = 12;
+    auto kde = Kde::Fit(data, opts);
+    ASSERT_TRUE(kde.ok());
+    ASSERT_EQ(kde->num_kernels(), 1000);
+    EXPECT_EQ(kde->neighbor_tile_cells() > 0, dim <= 3);
+    CheckEstimator(*kde, queries);
+    CheckCaps(*kde, queries);
+  }
+}
+
+// A hand-built model on 0.1-wide cells (fixed bandwidth 0.1, Epanechnikov
+// support 1): random centers in [0.3, 0.6]^dim plus one just inside each
+// corner of that box. Rows sit at four points of every cell of [0, 1)^dim
+// (just inside the low corner, on the low boundary, the middle and just
+// inside the high corner), so they cover center cells, the dilation's
+// outer ring, ring cells that touch a center cell only at a corner, and
+// cells outside the dilation, whose tile is empty. Rows with a NaN or
+// +-1e308 coordinate have no representable cell and take the brute sum.
+TEST(NeighborTileTableTest, RowsAtTheEdgesOfTheDilationMatchScalar) {
+  const double h = 0.1;
+  for (int dim : {2, 3}) {
+    SCOPED_TRACE(dim);
+    Kde::State state;
+    state.n = 5000;
+    state.kernel = KernelType::kEpanechnikov;
+    state.centers = data::PointSet(dim);
+    Rng rng(60 + dim);
+    std::vector<double> c(static_cast<size_t>(dim));
+    for (int i = 0; i < 200; ++i) {
+      for (int j = 0; j < dim; ++j) c[j] = 0.3 + 0.3 * rng.NextDouble();
+      state.centers.Append(c);
+    }
+    for (int corner = 0; corner < (1 << dim); ++corner) {
+      for (int j = 0; j < dim; ++j) c[j] = (corner >> j) & 1 ? 0.596 : 0.304;
+      state.centers.Append(c);
+    }
+    state.bandwidths.assign(static_cast<size_t>(dim), h);
+    state.bounds = data::BoundingBox(std::vector<double>(dim, 0.3),
+                                     std::vector<double>(dim, 0.6));
+    auto kde = Kde::FromState(std::move(state));
+    ASSERT_TRUE(kde.ok());
+
+    // The center cells and their dilation, each cell computed as the model
+    // computes it (cell extent = support 1 x h).
+    auto cell_of = [&](const double* p) {
+      std::vector<int64_t> cell(static_cast<size_t>(dim));
+      for (int j = 0; j < dim; ++j) {
+        cell[j] = static_cast<int64_t>(std::floor(p[j] / h));
+      }
+      return cell;
+    };
+    std::set<std::vector<int64_t>> center_cells;
+    for (int64_t i = 0; i < kde->num_kernels(); ++i) {
+      center_cells.insert(cell_of(kde->centers()[i].data()));
+    }
+    int block = 1;
+    for (int j = 0; j < dim; ++j) block *= 3;
+    std::set<std::vector<int64_t>> dilation;
+    for (const std::vector<int64_t>& cell : center_cells) {
+      for (int o = 0; o < block; ++o) {
+        std::vector<int64_t> near = cell;
+        for (int j = 0, rest = o; j < dim; ++j, rest /= 3) {
+          near[j] += rest % 3 - 1;
+        }
+        dilation.insert(near);
+      }
+    }
+    EXPECT_EQ(kde->neighbor_tile_cells(),
+              static_cast<int64_t>(dilation.size()));
+
+    data::PointSet rows(dim);
+    int64_t cells = 1;
+    for (int j = 0; j < dim; ++j) cells *= 10;
+    const double at[] = {0.02, 0.0, 0.5, 0.98};  // fractions of a cell
+    std::vector<double> q(static_cast<size_t>(dim));
+    for (int64_t cell = 0; cell < cells; ++cell) {
+      for (double frac : at) {
+        int64_t rest = cell;
+        for (int j = 0; j < dim; ++j, rest /= 10) {
+          q[j] = (static_cast<double>(rest % 10) + frac) * h;
+        }
+        rows.Append(q);
+      }
+    }
+    const double nan = std::nan("");
+    for (double bad : {nan, 1e308, -1e308}) {
+      for (int j = 0; j < dim; ++j) {
+        std::fill(q.begin(), q.end(), 0.45);
+        q[j] = bad;
+        rows.Append(q);
+      }
+    }
+
+    // The rows reach every kind of cell.
+    int64_t ring_corner_only_nonzero = 0;
+    int64_t outside = 0;
+    for (int64_t i = 0; i < rows.size(); ++i) {
+      bool representable = true;
+      for (int j = 0; j < dim; ++j) {
+        representable = representable && std::abs(rows[i][j]) < 1e300;
+      }
+      if (!representable) continue;
+      const std::vector<int64_t> cell = cell_of(rows[i].data());
+      if (dilation.count(cell) == 0) {
+        ++outside;
+        continue;
+      }
+      if (center_cells.count(cell) != 0) continue;
+      bool corner_only = true;
+      for (const std::vector<int64_t>& center : center_cells) {
+        bool near = true;
+        bool shares_axis = false;
+        for (int j = 0; j < dim; ++j) {
+          near = near && std::abs(center[j] - cell[j]) <= 1;
+          shares_axis = shares_axis || center[j] == cell[j];
+        }
+        if (near && shares_axis) corner_only = false;
+      }
+      if (corner_only && kde->Evaluate(rows[i]) > 0) {
+        ++ring_corner_only_nonzero;
+      }
+    }
+    EXPECT_GT(ring_corner_only_nonzero, 0);
+    EXPECT_GT(outside, 0);
+
+    CheckEstimator(*kde, rows);
+    CheckCaps(*kde, rows);
+  }
+}
+
+// A row outside the dilation has the empty tile even where rounding puts a
+// center two cells away on the closed edge of its support. The uniform
+// kernel's support includes |u| = 1; with h = 0.5, a center at -1e-300
+// (cell -1) and a row at 0.5 (cell 1), 0.5 - (-1e-300) rounds to 0.5 and
+// u = 1. The scalar path visits only the row's 3^d block, which holds no
+// center, so the batch path must give the row +0.0, not the tile of a cell
+// next to it that holds the center.
+TEST(NeighborTileTableTest, RowOutsideTheDilationTakesTheEmptyTile) {
+  Kde::State state;
+  state.n = 2;
+  state.kernel = KernelType::kUniform;
+  state.centers = data::PointSet(2, {-1e-300, 0.25, 3.0, 3.0});
+  state.bandwidths = {0.5, 0.5};
+  state.bounds = data::BoundingBox({-1e-300, 0.25}, {3.0, 3.0});
+  auto kde = Kde::FromState(std::move(state));
+  ASSERT_TRUE(kde.ok());
+  ASSERT_GT(kde->neighbor_tile_cells(), 0);
+  ASSERT_GT(KernelValue(KernelType::kUniform, (0.5 - -1e-300) * (1.0 / 0.5)),
+            0.0);
+  data::PointSet rows(2, {0.5, 0.25, 0.5, 0.3, 0.75, 0.25, -0.25, 0.25,
+                          0.0, 0.25, 2.9, 3.1});
+  for (int64_t i = 0; i < 2; ++i) EXPECT_EQ(kde->Evaluate(rows[i]), 0.0);
+  CheckEstimator(*kde, rows);
+  CheckCaps(*kde, rows);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The table is built with the index and never serialized: a copied, moved,
+// round-tripped or reloaded model evaluates to the same bits, and a model
+// saved with a table writes the bytes of one built without any index.
+TEST(NeighborTileTableTest, CopiedMovedAndReloadedModelsKeepTheirBits) {
+  data::PointSet data = MakeData(3, 10000, 33);
+  data::PointSet queries = MakeQueries(data, 2000);
+  KdeOptions opts;
+  opts.num_kernels = 1000;
+  opts.seed = 14;
+  auto fitted = Kde::Fit(data, opts);
+  ASSERT_TRUE(fitted.ok());
+  const Kde& kde = *fitted;
+  ASSERT_GT(kde.neighbor_tile_cells(), 0);
+  const int64_t n = queries.size();
+  auto evaluate = [&](const Kde& model) {
+    std::vector<double> out(static_cast<size_t>(2 * n));
+    EXPECT_TRUE(model.EvaluateBatch(queries.flat().data(), n, out.data()).ok());
+    EXPECT_TRUE(model
+                    .EvaluateExcludingBatch(queries.flat().data(), n,
+                                            out.data() + n)
+                    .ok());
+    return out;
+  };
+  const std::vector<double> want = evaluate(kde);
+
+  Kde copy = kde;
+  Kde source = kde;
+  Kde moved = std::move(source);
+  auto restored = Kde::FromState(kde.ExportState());
+  ASSERT_TRUE(restored.ok());
+  const std::string path = test::TempPath("tile_table.dbsk");
+  ASSERT_TRUE(SaveKde(kde, path).ok());
+  auto loaded = LoadKde(path);
+  ASSERT_TRUE(loaded.ok());
+  const Kde* const models[] = {&copy, &moved, &*restored, &*loaded};
+  for (const Kde* model : models) {
+    EXPECT_EQ(model->neighbor_tile_cells(), kde.neighbor_tile_cells());
+    ExpectBitwiseEqual(evaluate(*model), want);
+  }
+
+  auto unindexed = Kde::FromState(kde.ExportState(), /*rebuild_index=*/false);
+  ASSERT_TRUE(unindexed.ok());
+  EXPECT_EQ(unindexed->neighbor_tile_cells(), 0);
+  const std::string bare = test::TempPath("no_index.dbsk");
+  const std::string again = test::TempPath("reloaded.dbsk");
+  ASSERT_TRUE(SaveKde(*unindexed, bare).ok());
+  ASSERT_TRUE(SaveKde(*loaded, again).ok());
+  const std::string bytes = ReadBytes(path);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(ReadBytes(bare), bytes);
+  EXPECT_EQ(ReadBytes(again), bytes);
 }
 
 }  // namespace

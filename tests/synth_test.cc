@@ -153,6 +153,27 @@ TEST(GeneratorTest, HighDimensionalGeneration) {
   EXPECT_EQ(ds->truth.regions.size(), 10u);
 }
 
+// Ten clusters kept 0.05 apart jam a line: random placement leaves gaps
+// too narrow for the rest even at the smallest extent. Generation must
+// end with InvalidArgument rather than retry forever; five clusters fit.
+TEST(GeneratorTest, JammedOneDimensionalPlacementFails) {
+  ClusteredDatasetOptions opts;
+  opts.dim = 1;
+  opts.num_cluster_points = 30000;
+  opts.noise_multiplier = 0.1;
+  for (uint64_t seed : {1, 2}) {
+    opts.seed = seed;
+    auto ds = MakeClusteredDataset(opts);
+    ASSERT_FALSE(ds.ok()) << seed;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument) << seed;
+  }
+  opts.num_clusters = 5;
+  opts.seed = 1;
+  auto five = MakeClusteredDataset(opts);
+  ASSERT_TRUE(five.ok());
+  EXPECT_EQ(five->truth.regions.size(), 5u);
+}
+
 TEST(CureDatasetTest, FiveClustersWithBigDominating) {
   CureDatasetOptions opts;
   opts.num_points = 50000;
